@@ -17,8 +17,8 @@
 #   6. explore:  200-seed schedule-exploration sweep over every scenario
 #                with invariant audits armed (RKO_CHECK=1); failures print
 #                the offending seed and its repro line
-#   7. bench:    quick page-fault + rebalance + futex + mmap-scale benches vs
-#                the committed baselines — virtual time is exactly
+#   7. bench:    quick page-fault + rebalance + futex + migration + mmap-scale
+#                benches vs the committed baselines — virtual time is exactly
 #                reproducible, so any >10% drift in a key protocol latency
 #                is a real regression
 #
@@ -92,9 +92,9 @@ scripts/bench_compare.py bench/baselines/bench_futex_quick.json \
     build/bench_out/bench_futex_quick.json \
     --key "wake.*_ns" --key "mutex.*_ns_per_acq" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_futex_quick.json build/bench_out/bench_futex_quick.json --key 'wake.*_ns' --key 'mutex.*_ns_per_acq'"
-RKO_WORKSET_PUSH=32 ./build/bench/bench_migration --quick \
+./build/bench/bench_migration --quick \
     --json=build/bench_out/bench_migration_quick.json >/dev/null \
-  || fail bench "RKO_WORKSET_PUSH=32 ./build/bench/bench_migration --quick --json=..."
+  || fail bench "./build/bench/bench_migration --quick --json=..."
 scripts/bench_compare.py bench/baselines/bench_migration_quick.json \
     build/bench_out/bench_migration_quick.json \
     --key "workset.*_ns" \

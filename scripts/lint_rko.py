@@ -26,10 +26,12 @@ a few idiom rules:
   unnamed-guard    a guard temporary — sim::LockGuard(l); / ReadGuard(l);
                    — unlocks at the semicolon, leaving the "critical
                    section" unprotected; name the guard
-  serial-fanout    a .rpc(/.rpc_all( inside a loop over a holder mask in
-                   src/rko/core/ — per-victim round trips serialize what
-                   the fabric can do concurrently; batch the posts into
-                   one rpc_scatter (or a ranged invalidate) instead
+  serial-fanout    a .rpc(/.rpc_all( inside a loop over a holder mask, or
+                   over a page-push list (PushPage entries, `work`,
+                   `grants`, `pushes`), in src/rko/core/ — per-victim or
+                   per-page round trips serialize what the fabric can do
+                   concurrently; batch the posts into one rpc_scatter (or
+                   a ranged invalidate) instead
   per-waiter-rpc   a .rpc(/.rpc_all( inside a loop over futex waiters or
                    convoy queues in src/rko/core/ — wake paths must not
                    pay one round trip per waiter; coalesce the grants
@@ -133,6 +135,11 @@ LOCK_RELEASE = re.compile(r"([A-Za-z_][\w.\->\[\]]*lock)\s*\.\s*unlock\s*\(\s*\)
 SERIAL_FANOUT_LOOP = re.compile(
     r"\b(for|while)\s*\(.*(mask\s*&=\s*mask\s*-\s*1|holder_mask\s*\(\s*\))")
 SERIAL_FANOUT_RPC = re.compile(r"\.rpc(_all)?\s*\(")
+# A loop over a page-push list (the working-set and fault-around push
+# paths): an .rpc( inside one fetches or invalidates page by page where one
+# scatter round over every source would overlap them.
+PUSH_LIST_LOOP = re.compile(
+    r"\bfor\s*\(.*(\bPushPage\b|:\s*(work|grants|pushes)\s*\))")
 
 # A loop header that walks futex waiters (Waiter entries, waiter vectors,
 # or a convoy queue). An .rpc( inside one is a per-waiter round trip in a
@@ -298,16 +305,18 @@ def lint_lines(path, lines, findings, warnings):
         if track_fanout:
             if (fanout_loops and SERIAL_FANOUT_RPC.search(code) and
                     allowance != "serial-fanout"):
-                body_depth, header_line = fanout_loops[-1]
+                body_depth, header_line, what, unit = fanout_loops[-1]
                 findings.append((path, lineno, "serial-fanout",
-                                 f"RPC inside a holder-mask loop (opened at "
-                                 f"line {header_line}): per-victim round "
+                                 f"RPC inside a {what} loop (opened at "
+                                 f"line {header_line}): per-{unit} round "
                                  f"trips serialize — batch the posts into "
                                  f"one rpc_scatter"))
                 fanout_loops.clear()  # one report per loop nest
-            if (SERIAL_FANOUT_LOOP.search(code) and
-                    allowance != "serial-fanout"):
-                pending_fanout = lineno
+            if allowance != "serial-fanout":
+                if SERIAL_FANOUT_LOOP.search(code):
+                    pending_fanout = (lineno, "holder-mask", "victim")
+                elif PUSH_LIST_LOOP.search(code):
+                    pending_fanout = (lineno, "push-list", "page")
             if (waiter_loops and SERIAL_FANOUT_RPC.search(code) and
                     allowance != "per-waiter-rpc"):
                 body_depth, header_line = waiter_loops[-1]
@@ -347,7 +356,7 @@ def lint_lines(path, lines, findings, warnings):
                 if ch == "{":
                     depth += 1
                     if pending_fanout is not None:
-                        fanout_loops.append((depth, pending_fanout))
+                        fanout_loops.append((depth, *pending_fanout))
                         pending_fanout = None
                     if pending_waiter is not None:
                         waiter_loops.append((depth, pending_waiter))
@@ -513,6 +522,25 @@ SELF_TEST_CASES = [
      }
      """,
      ["serial-fanout"]),
+    ("per-page rpc in a push-list loop",
+     "src/rko/core/m2.cpp",
+     """void push(std::vector<PushPage>& work) {
+         for (PushPage& p : work) {
+             auto reply = k_.node().rpc(p.source, fetch(p.page), &st);
+         }
+     }
+     """,
+     ["serial-fanout"]),
+    ("push-list loop collecting scatter posts is clean",
+     "src/rko/core/m3.cpp",
+     """void push(std::vector<PushPage>& work) {
+         for (PushPage& p : work) {
+             posts.push_back({p.source, fetch(p.page)});
+         }
+         auto replies = k_.node().rpc_scatter(std::move(posts));
+     }
+     """,
+     []),
     ("wall clock via chrono",
      "src/rko/core/n.cpp",
      """auto t = std::chrono::steady_clock::now();

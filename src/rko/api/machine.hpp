@@ -20,13 +20,13 @@
 #include "rko/api/process.hpp"
 #include "rko/balance/balance.hpp"
 #include "rko/check/gate.hpp"
-#include "rko/core/workset.hpp"
 #include "rko/elastic/elastic.hpp"
 #include "rko/home/home.hpp"
 #include "rko/kernel/kernel.hpp"
 #include "rko/mem/phys.hpp"
 #include "rko/msg/fabric.hpp"
 #include "rko/sim/engine.hpp"
+#include "rko/task/task.hpp"
 #include "rko/topo/topology.hpp"
 #include "rko/trace/trace.hpp"
 
@@ -73,12 +73,12 @@ struct MachineConfig {
     /// Working-set migration (DESIGN.md §15): a migrating thread's
     /// checkpoint piggybacks up to this many of its hottest page numbers;
     /// the destination pulls them from their homes in one scatter round
-    /// before resuming, and a short post-copy boost widens fault-around
-    /// for the tail. 0 disables: the tracker never ships, no
-    /// kWorksetPull/kWorksetPush messages exist on the wire, and runs are
-    /// bit-identical to the pre-workset protocol. Defaults to the
-    /// RKO_WORKSET_PUSH environment variable when set.
-    int workset_push = core::workset_push_from_env();
+    /// before resuming — dirty pages move owned, shared ones as replicas —
+    /// and a short post-copy boost widens fault-around for the tail. On by
+    /// default at the tracker's full size. 0 disables: the tracker never
+    /// ships, no kWorksetPull/kWorksetPush messages exist on the wire, and
+    /// runs are bit-identical to the pre-workset protocol.
+    int workset_push = static_cast<int>(task::kMaxWorkset);
     /// Tracing & metrics; defaults follow the RKO_TRACE environment
     /// variable (see trace::TraceConfig::from_env). Metrics are collected
     /// regardless; `trace.enabled` only gates event recording.

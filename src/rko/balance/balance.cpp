@@ -44,9 +44,13 @@ Balancer::Balancer(kernel::Kernel& k, const BalanceConfig& config)
 Balancer::~Balancer() = default;
 
 void Balancer::install() {
+    // Jumps the leaf queue: a victim's leaf pool can hold a whole pull
+    // round's per-page invalidates (each ~2.3 us on the mmap write lock),
+    // and a steal queued behind them outlives the thief's 2-period timeout.
     k_.node().register_handler(
         msg::MsgType::kSteal, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_steal(node, std::move(m)); });
+        [this](msg::Node& node, msg::MessagePtr m) { on_steal(node, std::move(m)); },
+        /*jump_queue=*/true);
 }
 
 void Balancer::start() {
@@ -73,7 +77,13 @@ void Balancer::request_stop() {
 bool Balancer::stopped() const { return actor_ == nullptr || actor_->finished(); }
 
 void Balancer::doorbell() {
-    if (idle_parked_ && actor_ != nullptr && !actor_->finished()) actor_->unpark();
+    if (!idle_parked_ || actor_ == nullptr || actor_->finished()) return;
+    // Clear the flag BEFORE the unpark: the actor only runs later, and a
+    // second doorbell in the same instant would otherwise unpark a kReady
+    // actor, banking a permit that a later unrelated park (a contended
+    // SpinLock inside the tick) consumes without holding its lock.
+    idle_parked_ = false;
+    actor_->unpark();
 }
 
 bool Balancer::may_move(const task::Task& t) const {

@@ -749,7 +749,7 @@ ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
     constexpr int kPages = 8;
     constexpr int kRounds = 6;
     MachineConfig mc = base_config(cfg);
-    mc.workset_push = 8; // force pre-copy on regardless of RKO_WORKSET_PUSH
+    mc.workset_push = 8; // a smaller pre-copy budget than the default
     Machine machine(mc);
     auto& process = machine.create_process(0);
     Vaddr buf = 0;
@@ -786,6 +786,64 @@ ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
             }
         },
         2);
+    machine.run();
+    return finish(machine);
+}
+
+/// Ownership pushes under fire: the migrant dirties a region on k1 and hops
+/// k1 -> k2 -> k1 ..., so every arrival pulls its pages OWNED — the home
+/// revokes the source's PTEs with data in one scatter. A sibling left on
+/// k1 keeps writing its own word of the region's first half (its write
+/// faults queue behind the claimed busy bits and take ownership back
+/// between pulls), and an unmapper drops the second half just as the first
+/// migration starts, so the munmap's revoke races that pull. Final content
+/// of the surviving half is schedule-independent.
+ScenarioResult run_migrate_ownership_race(const ExploreConfig& cfg) {
+    constexpr int kPages = 8;
+    constexpr int kHalf = kPages / 2;
+    constexpr int kRounds = 4;
+    Machine machine(base_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    // kPages data pages, then one control page the munmap leaves alone.
+    auto& init = process.spawn(
+        [&](Guest& g) { buf = g.mmap((kPages + 1) * kPageSize); }, 0);
+    const auto bump = [](std::uint32_t v) { return v + 1; };
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int r = 0; r < kRounds; ++r) {
+                // The first round dirties (and so ships) the half that is
+                // about to be unmapped; later rounds keep to the first half.
+                const int pages = r == 0 ? kPages : kHalf;
+                for (int p = 0; p < pages; ++p) {
+                    g.rmw_u32(buf + static_cast<Vaddr>(p) * kPageSize + 128, bump);
+                }
+                if (r == 0) g.write<std::uint32_t>(buf + kPages * kPageSize, 1);
+                g.migrate(r % 2 == 0 ? 2 : 1);
+            }
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            for (int i = 0; i < 3 * kRounds; ++i) {
+                for (int p = 0; p < kHalf; ++p) {
+                    g.rmw_u32(buf + static_cast<Vaddr>(p) * kPageSize, bump);
+                }
+                g.compute(2_us);
+            }
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            while (g.read<std::uint32_t>(buf + kPages * kPageSize) == 0) {
+                g.compute(1_us);
+            }
+            g.munmap(buf + kHalf * kPageSize, kHalf * kPageSize);
+        },
+        3);
     machine.run();
     return finish(machine);
 }
@@ -907,6 +965,11 @@ const std::vector<Scenario>& scenarios() {
          "two kernels keep the region write-shared",
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_migrate_under_write_sharing},
+        {"migrate_ownership_race",
+         "a migrant's owned pages are pulled while a sibling on the source "
+         "writes them and a munmap drops half the region",
+         /*content_deterministic=*/true, /*expect_violation=*/false,
+         &run_migrate_ownership_race},
     };
     return list;
 }

@@ -1670,7 +1670,6 @@ void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
     push.pid = site.pid();
     push.va = page;
     push.data_included = true;
-    push.zero_fill = false;
     PageDirEntry updated = snapshot;
     updated.busy = false;
     if (snapshot.state == PageDirEntry::State::kShared) {
@@ -1788,31 +1787,44 @@ std::vector<mem::Vaddr> PageOwner::claim_workset_pages(ProcessSite& site,
 
 std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
                                             const std::vector<mem::Vaddr>& pages,
-                                            topo::KernelId requester) {
+                                            topo::KernelId requester,
+                                            std::vector<mem::Paddr>* freed) {
     if (pages.empty()) return 0;
     struct PushPage {
         mem::Vaddr page = 0;
         std::uint64_t vpn = 0;
         PageDirEntry updated;
         topo::KernelId source = -1;
+        std::uint32_t vma_prot = 0;
         bool local = false;     ///< bytes come from this kernel's own copy
-        bool downgrade = false; ///< source was Exclusive (strip its write bit)
+        bool downgrade = false; ///< replica of an Exclusive page (strip write)
         bool cancelled = false;
+        mem::Pte revoked{};     ///< local ownership push: the cleared PTE
         PagePushMsg push{};
     };
     std::vector<PushPage> work(pages.size());
-    const auto cancel_claim = [&](std::uint64_t vpn) {
-        auto& shard = site.dir_shard(vpn);
+    const auto cancel_claim = [&](PushPage& p) {
+        p.cancelled = true;
+        auto& shard = site.dir_shard(p.vpn);
         shard.lock.lock();
-        auto it = shard.entries.find(vpn);
+        auto it = shard.entries.find(p.vpn);
         if (it != shard.entries.end()) it->second.busy = false;
         shard.busy_wait.notify_all();
         shard.lock.unlock();
     };
 
-    // Plan: snapshot every claimed entry and decide each page's byte
-    // source and post-push directory state (the same transitions a demand
-    // read fault would make).
+    // Plan: snapshot every claimed entry and decide each page's byte source
+    // and post-push directory state — the transitions the requester's own
+    // faults would make. Exclusive pages in a writable VMA move OWNED (the
+    // retouch's writes then hit a local writable PTE instead of a second
+    // remote fault); Shared pages and read-only VMAs get a replica.
+    {
+        ReadGuard guard(site.space().mmap_lock());
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            const mem::Vma* vma = site.space().vmas().find(pages[i]);
+            work[i].vma_prot = vma == nullptr ? 0 : vma->prot;
+        }
+    }
     for (std::size_t i = 0; i < pages.size(); ++i) {
         PushPage& p = work[i];
         p.page = pages[i];
@@ -1829,13 +1841,16 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         p.push.pid = site.pid();
         p.push.va = p.page;
         p.push.data_included = true;
-        p.push.zero_fill = false;
         if (snapshot.state == PageDirEntry::State::kShared) {
             p.source = snapshot.holds(k_.id())
                            ? k_.id()
                            : static_cast<topo::KernelId>(
                                  std::countr_zero(snapshot.sharers));
             p.updated.sharers = snapshot.sharers | topo::kbit(requester);
+        } else if ((p.vma_prot & mem::kProtWrite) != 0) {
+            p.source = snapshot.owner;
+            p.push.exclusive = true;
+            p.updated.owner = requester;
         } else {
             p.source = snapshot.owner;
             p.downgrade = true;
@@ -1847,72 +1862,134 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         p.push.source = static_cast<std::uint8_t>(p.source);
     }
 
-    // Batched local capture. Where the per-page paths pay one modeled
-    // shootdown PER downgraded page, the whole workset's home-held pages
-    // share one generation bump and one shootdown (the local_*_range
-    // shape) — this is what makes pushing 32 pages cheaper than 32 demand
-    // faults. Protects and the bump share a no-yield window; the copy
-    // sleeps land after it closes (see local_invalidate).
+    // Batched local capture: every home-held page's PTE change — ownership
+    // revokes and replica downgrades alike — shares one generation bump and
+    // one modeled shootdown (the local_*_range shape). Clears, protects and
+    // the bump share a no-yield window; the copy sleeps land after it
+    // closes (see local_invalidate). Revoked frames are NOT freed here: the
+    // caller frees them after its reply, off the puller's critical path.
     {
         WriteGuard guard(site.space().mmap_lock());
-        std::uint32_t downgraded = 0;
-        for (PushPage& p : work) {
-            if (!p.local || !p.downgrade) continue;
-            const mem::Pte* pte = site.space().page_table().find(p.page);
-            RKO_ASSERT_MSG(pte != nullptr && pte->present,
-                           "workset push: directory says local copy, no PTE");
-            if ((pte->prot & mem::kProtWrite) != 0) {
-                site.space().page_table().protect(p.page,
-                                                  pte->prot & ~mem::kProtWrite);
-                ++downgraded;
-            }
-        }
-        if (downgraded != 0) site.space().bump_tlb_generation();
-        Nanos copy_cost = 0;
+        std::uint32_t changed = 0;
         for (PushPage& p : work) {
             if (!p.local) continue;
             const mem::Pte* pte = site.space().page_table().find(p.page);
-            RKO_ASSERT_MSG(pte != nullptr && pte->present,
-                           "workset push: directory says local copy, no PTE");
-            std::memcpy(p.push.data.data(), k_.phys().frame_ptr(pte->paddr),
-                        mem::kPageSize);
+            if (pte == nullptr || !pte->present) {
+                // Our copy is gone despite the directory: a sharded home's
+                // munmap replica sweep is not gated on the busy bit. The
+                // sweep's directory half erases the entry after we let go.
+                p.cancelled = true;
+                continue;
+            }
+            if (p.push.exclusive) {
+                p.revoked = site.space().page_table().clear(p.page);
+                invalidations_.inc();
+                ++changed;
+            } else if (p.downgrade && (pte->prot & mem::kProtWrite) != 0) {
+                site.space().page_table().protect(p.page,
+                                                  pte->prot & ~mem::kProtWrite);
+                ++changed;
+            }
+        }
+        if (changed != 0) site.space().bump_tlb_generation();
+        Nanos copy_cost = 0;
+        for (PushPage& p : work) {
+            if (!p.local || p.cancelled) continue;
+            const mem::Paddr frame = p.push.exclusive
+                                         ? p.revoked.paddr
+                                         : site.space().page_table().find(p.page)->paddr;
+            std::memcpy(p.push.data.data(), k_.phys().frame_ptr(frame), mem::kPageSize);
             copy_cost += k_.costs().page_copy;
         }
         if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
-        if (downgraded != 0) {
-            sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-        }
+        if (changed != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
     }
-
-    // Remote byte sources: per-page fetches (rare — the home usually holds
-    // what it serves). A source that died (elastic) cancels that page's
-    // push; the requester demand-faults it after the membership update.
     for (PushPage& p : work) {
-        if (p.local || p.cancelled) continue;
-        fetches_.inc();
-        msg::RpcStatus st = msg::RpcStatus::kOk;
-        auto reply = k_.node().rpc(
-            p.source,
-            msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                              PageFetchReq{site.pid(), p.page, p.downgrade}),
-            &st);
-        if (reply == nullptr) {
-            cancel_claim(p.vpn);
-            p.cancelled = true;
-            continue;
-        }
-        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-        RKO_ASSERT_MSG(fetched.ok, "source lost its copy mid-workset-push");
-        p.push.data = fetched.data;
+        if (p.local && p.cancelled) cancel_claim(p);
     }
 
-    // Elastic: a requester that died while we captured will never confirm —
-    // release every claim instead of parking pendings nobody commits, and
-    // let the kWorksetPush sends below never happen (they would dead-letter
-    // with kPeerDead anyway).
+    // Remote byte sources, all in ONE scatter round: an ownership push
+    // invalidates the old owner with want_data, a replica push fetches
+    // (downgrading an Exclusive holder). With unsharded homes the origin
+    // never holds a migrant's pages, so this is the common case. A source
+    // that died (elastic) or dropped its copy (racing munmap sweep) cancels
+    // that page's push; the requester demand-faults it later.
+    std::vector<msg::Node::ScatterItem> posts;
+    std::vector<std::size_t> post_page;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        PushPage& p = work[i];
+        if (p.local || p.cancelled) continue;
+        msg::MessagePtr request;
+        if (p.push.exclusive) {
+            invalidations_.inc();
+            request = msg::make_message(msg::MsgType::kPageInvalidate,
+                                        msg::MsgKind::kRequest,
+                                        PageInvalidateReq{site.pid(), p.page, true});
+        } else {
+            fetches_.inc();
+            request = msg::make_message(
+                msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
+                PageFetchReq{site.pid(), p.page, p.downgrade});
+        }
+        posts.push_back({p.source, std::move(request)});
+        post_page.push_back(i);
+    }
+    if (!posts.empty()) {
+        const auto replies = k_.node().rpc_scatter(std::move(posts));
+        for (std::size_t j = 0; j < replies.size(); ++j) {
+            PushPage& p = work[post_page[j]];
+            bool have_data = false;
+            if (replies[j] == nullptr) {
+                // source died mid-scatter
+            } else if (p.push.exclusive) {
+                const auto& inv = replies[j]->payload_prefix_as<PageInvalidateResp>();
+                have_data = inv.had_page && inv.data_included;
+                if (have_data) p.push.data = inv.data;
+            } else {
+                const auto& fetched = replies[j]->payload_prefix_as<PageFetchResp>();
+                have_data = fetched.ok;
+                if (have_data) p.push.data = fetched.data;
+            }
+            if (!have_data) cancel_claim(p);
+        }
+    }
+
+    // Elastic: a requester that died while we captured will never confirm.
+    // Nothing ships; every page stays at this home. Replica sources kept
+    // their copies, so releasing the claim is enough. An ownership push
+    // already revoked its source: a local PTE is restored over its own
+    // (never freed) frame, and bytes a remote owner surrendered land in a
+    // fresh frame here, the directory naming this kernel the owner.
     if (k_.node().peer_dead(requester)) {
+        std::vector<PushPage*> adopted;
+        {
+            WriteGuard guard(site.space().mmap_lock());
+            for (PushPage& p : work) {
+                if (p.cancelled || !p.push.exclusive) continue;
+                if (p.local) {
+                    site.space().page_table().map(p.page, p.revoked.paddr,
+                                                  p.revoked.prot);
+                    continue;
+                }
+                const mem::Paddr frame = k_.frames().alloc();
+                RKO_ASSERT(frame != 0);
+                std::memcpy(k_.phys().frame_ptr(frame), p.push.data.data(),
+                            mem::kPageSize);
+                sim::current_actor().sleep_for(k_.costs().page_copy);
+                site.space().page_table().map(p.page, frame, p.vma_prot);
+                adopted.push_back(&p);
+            }
+        }
+        for (PushPage* p : adopted) {
+            auto& shard = site.dir_shard(p->vpn);
+            shard.lock.lock();
+            auto it = shard.entries.find(p->vpn);
+            RKO_ASSERT(it != shard.entries.end() && it->second.busy);
+            it->second.owner = k_.id();
+            shard.lock.unlock();
+        }
         for (PushPage& p : work) {
-            if (!p.cancelled) cancel_claim(p.vpn);
+            if (!p.cancelled) cancel_claim(p);
         }
         return 0;
     }
@@ -1934,6 +2011,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
                        msg::make_message_prefix(msg::MsgType::kWorksetPush,
                                                 msg::MsgKind::kOneway, p.push,
                                                 wire_bytes(p.push)));
+        if (p.local && p.push.exclusive) freed->push_back(p.revoked.paddr);
         ++pushed;
     }
     return pushed;
@@ -1983,8 +2061,9 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
     }
     if (posts.empty()) return;
     // Each home replies AFTER its pushes on a FIFO channel, so when the
-    // scatter returns every granted page is installed locally — pre-copy
-    // behaves as a barrier and the guest resumes into a warm set. Dead
+    // scatter returns every granted page's push is in the leaf pool —
+    // pre-copy behaves as a barrier and the guest resumes into a warm set
+    // (a touch that overtakes an install waits out the busy bit). Dead
     // homes (null replies) cost nothing; their pages demand-fault once the
     // membership update re-routes them.
     k_.node().rpc_scatter(std::move(posts));
@@ -2047,17 +2126,23 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
         }
     }
     resp.extra_granted = static_cast<std::uint32_t>(grants.size());
+    std::vector<mem::Paddr> freed;
     if (workset && !grants.empty()) {
         // Boosted batch (§15): push FIRST, reply last — the inverse of the
         // streaming order below. The channel is FIFO, so every pushed page
-        // is already installed when the demand reply unblocks the guest; it
-        // resumes into a warm window instead of re-faulting page by page
-        // into busy directory entries while the pushes are still in flight.
-        push_workset_pages(k_.site(req.pid), grants, req.requester);
+        // is already dispatched to the requester's leaf pool when the
+        // demand reply unblocks the guest; it resumes into a warm window
+        // instead of re-faulting page by page into busy directory entries
+        // while the pushes are still in flight.
+        push_workset_pages(k_.site(req.pid), grants, req.requester, &freed);
     }
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
+    // Frames revoked by ownership pushes go back to the allocator only now:
+    // each free sleeps the allocator path, which the requester need not wait
+    // for.
+    for (const mem::Paddr frame : freed) k_.frames().free(frame);
     if (!workset) {
         // Reply went first: the requester installs the demand page while
         // the pushes are still being generated behind it.
@@ -2150,11 +2235,14 @@ bool PageOwner::install_pushed_page(const PagePushMsg& push,
             PageFaultResp resp{};
             resp.status = FaultStatus::kOk;
             resp.data_included = push.data_included;
-            resp.zero_fill = push.zero_fill;
             resp.upgrade = false;
             resp.source = push.source;
             if (push.data_included) resp.data = push.data;
-            installed = install_locally(site, vma, push.va, mem::kProtRead, resp);
+            // An ownership push maps writable (install_locally still clips
+            // to the replica VMA's rights).
+            const std::uint32_t access =
+                push.exclusive ? mem::kProtRead | mem::kProtWrite : mem::kProtRead;
+            installed = install_locally(site, vma, push.va, access, resp);
         }
     }
     // ALWAYS confirm — success or not — or the home's busy bit leaks and
@@ -2189,18 +2277,21 @@ void PageOwner::on_workset_push(msg::Node& node, msg::MessagePtr m) {
 void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_prefix_as<WorksetPullReq>();
     WorksetPullResp resp{};
+    std::vector<mem::Paddr> freed;
     if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester) &&
         workset_push_ > 0) {
         ProcessSite& site = k_.site(req.pid);
         const auto grants =
             claim_workset_pages(site, req.vpn.data(), req.count, req.requester);
-        resp.granted = push_workset_pages(site, grants, req.requester);
+        resp.granted = push_workset_pages(site, grants, req.requester, &freed);
     }
     // Reply AFTER the pushes: the channel is FIFO, so by the time the
     // puller's scatter completes every granted kWorksetPush has already
-    // been dispatched and installed — the pull round is a barrier.
+    // been dispatched to its leaf pool — the pull round is a barrier.
     node.reply(*m, msg::make_message(msg::MsgType::kWorksetPull,
                                      msg::MsgKind::kReply, resp));
+    // Revoked frames are freed after the reply (see on_page_fault_batch).
+    for (const mem::Paddr frame : freed) k_.frames().free(frame);
 }
 
 } // namespace rko::core

@@ -76,8 +76,9 @@ public:
 
     /// Post-resume pre-copy pull (runs on the migrated guest's actor):
     /// drains t.pending_workset in ONE rpc_scatter of kWorksetPull rounds,
-    /// one per home; when it returns every granted page is installed
-    /// locally. Pages homed here, and pulls to homes that died mid-round,
+    /// one per home; when it returns every granted page's push has been
+    /// dispatched here (its install may still be running on a leaf
+    /// worker). Pages homed here, and pulls to homes that died mid-round,
     /// simply demand-fault later.
     void workset_prefault(ProcessSite& site, task::Task& t);
 
@@ -246,18 +247,22 @@ private:
 
     // Working-set push (home side, DESIGN.md §15). claim_workset_pages
     // try-claims an explicit VPN list (same skip rules as the prefetch
-    // claim); push_workset_pages then runs every claimed page's
-    // read-replication transaction with the LOCAL byte captures batched —
-    // all home-held downgrades share one generation bump and one modeled
-    // shootdown — and ships each page as kWorksetPush. Pushes park the
-    // ordinary pending state; the destination's confirms commit them.
+    // claim); push_workset_pages then moves every claimed page to the
+    // requester: Exclusive pages in writable VMAs as OWNED (the old owner is
+    // invalidated with data), the rest as read-only replicas. Home-held
+    // captures share one generation bump and one modeled shootdown, remote
+    // sources answer in one scatter round, and each page ships as
+    // kWorksetPush. Pushes park the ordinary pending state; the
+    // destination's confirms commit them. Frames the home revoked are
+    // appended to `freed` for the caller to free after its reply.
     std::vector<mem::Vaddr> claim_workset_pages(ProcessSite& site,
                                                 const std::uint64_t* vpns,
                                                 std::uint32_t count,
                                                 topo::KernelId requester);
     std::uint32_t push_workset_pages(ProcessSite& site,
                                      const std::vector<mem::Vaddr>& pages,
-                                     topo::KernelId requester);
+                                     topo::KernelId requester,
+                                     std::vector<mem::Paddr>* freed);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);

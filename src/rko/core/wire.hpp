@@ -173,15 +173,20 @@ struct PageFaultBatchResp {
     PageFaultResp first;
 };
 
-/// Origin -> requester: one prefetched page. The requester installs it
-/// read-only and confirms with kPageInstalled (the normal third leg), so
-/// the directory commits or rolls back the parked transaction exactly as
-/// for a demand fault.
+/// Origin -> requester: one pushed page. The requester installs it and
+/// confirms with kPageInstalled (the normal third leg), so the directory
+/// commits or rolls back the parked transaction exactly as for a demand
+/// fault. A replica push maps read-only; an ownership push (`exclusive`,
+/// workset pushes only — DESIGN.md §15) maps writable, because the home
+/// already invalidated every other copy.
 struct PagePushMsg {
     Pid pid;
     mem::Vaddr va;
     bool data_included;
-    bool zero_fill; ///< reserved; pushes always carry bytes today
+    /// Ownership push: the directory parks Exclusive at the requester.
+    /// Occupies the byte a never-used zero_fill flag held, so the wire size
+    /// (and every fault-around push's modeled copy cost) is unchanged.
+    bool exclusive;
     std::uint8_t source; ///< kernel that supplied the bytes (affinity)
     std::array<std::byte, mem::kPageSize> data;
 };

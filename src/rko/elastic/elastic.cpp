@@ -338,10 +338,14 @@ void Elastic::do_kill(sim::Actor& self) {
     // group messages) — the origin's reaper is the bookkeeper of record.
     if (thread_killer_) thread_killer_();
     if (k_.balancer() != nullptr) k_.balancer()->request_stop();
-    // Wait for the doomed fibers to drain, then free what they leave: the
-    // frames belong to this kernel's partition, so survivors never need
-    // them, but teardown audits expect dropped sites not to leak frames.
-    while (k_.live_task_count() > 0) self.park_for(balance_period());
+    // Wait for the doomed fibers to drain — and for handlers already
+    // running on this kernel's workers (a leaf invalidate mid-copy holds a
+    // PTE of the site) — then free what they leave: the frames belong to
+    // this kernel's partition, so survivors never need them, but teardown
+    // audits expect dropped sites not to leak frames.
+    while (k_.live_task_count() > 0 || k_.node().handlers_running() > 0) {
+        self.park_for(balance_period());
+    }
     drop_all_sites();
 }
 

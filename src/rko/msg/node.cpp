@@ -38,10 +38,13 @@ void Node::spawn_workers(Pool& pool, int count, const char* tag) {
     }
 }
 
-void Node::register_handler(MsgType type, HandlerClass handler_class, Handler handler) {
+void Node::register_handler(MsgType type, HandlerClass handler_class, Handler handler,
+                            bool jump_queue) {
     auto& entry = handlers_[static_cast<std::size_t>(type)];
     RKO_ASSERT_MSG(!entry.registered, "handler registered twice");
-    entry = HandlerEntry{std::move(handler), handler_class, true};
+    RKO_ASSERT_MSG(!jump_queue || handler_class == HandlerClass::kLeaf,
+                   "only leaf handlers can jump the queue");
+    entry = HandlerEntry{std::move(handler), handler_class, true, jump_queue};
 }
 
 void Node::attach_inbound(Channel& channel) {
@@ -395,7 +398,11 @@ void Node::route(MessagePtr message) {
         return;
     }
     case HandlerClass::kLeaf:
-        leaf_pool_.queue.push_back(std::move(message));
+        if (entry.jump_queue) {
+            leaf_pool_.queue.push_front(std::move(message));
+        } else {
+            leaf_pool_.queue.push_back(std::move(message));
+        }
         leaf_pool_.idle.notify_one();
         return;
     case HandlerClass::kBlocking:
@@ -423,6 +430,7 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
         const char* name = msg_type_name(message->hdr.type);
         trace::Span span(engine_, id_, name);
         note_flow_end(*message, name);
+        ++handlers_running_;
         try {
             entry.fn(*this, std::move(message));
         } catch (const LocalNodeDead&) {
@@ -430,6 +438,7 @@ void Node::worker_body(sim::Actor& self, Pool& pool) {
             // request it was serving dies with it.
             ++dead_letters_;
         }
+        --handlers_running_;
         (void)self;
     }
 }

@@ -9,7 +9,9 @@
 //     locks that can park, no awaits. (Replies are always completed inline.)
 //   - LEAF handlers run on a dedicated leaf-worker pool. They may take
 //     local kernel locks (whose holders never await — see the lock rule)
-//     and reply(), but must never rpc().
+//     and reply(), but must never rpc(). A leaf type registered with
+//     `jump_queue` (short control requests on a timeout, like kSteal) is
+//     queued ahead of the pool's backlog instead of behind it.
 //   - BLOCKING handlers run on the kworker pool and may rpc(), but only to
 //     INLINE or LEAF handlers. Wait chains therefore have depth one, every
 //     chain terminates in a handler that only waits on local locks whose
@@ -65,7 +67,12 @@ public:
     const topo::CostModel& costs() const { return costs_; }
 
     /// Registers the handler for a message type. Must precede start().
-    void register_handler(MsgType type, HandlerClass handler_class, Handler handler);
+    /// `jump_queue` (leaf only) queues each message at the FRONT of the
+    /// leaf pool: a per-page coherence burst can hold dozens of leaf
+    /// requests, and a control request waiting behind it outlives its
+    /// caller's timeout.
+    void register_handler(MsgType type, HandlerClass handler_class, Handler handler,
+                          bool jump_queue = false);
 
     /// Wires an inbound channel (called by Fabric) and returns the doorbell
     /// the channel should ring on delivery.
@@ -148,6 +155,10 @@ public:
     /// keep draining so peers' send costs stay paid and teardown is normal.
     void set_dead();
     bool dead() const { return dead_; }
+    /// Handlers currently executing on a worker (leaf or blocking). A
+    /// killed node's in-flight handlers still run to completion against its
+    /// process sites, so whoever tears those sites down waits for zero.
+    int handlers_running() const { return handlers_running_; }
 
     /// Messages dropped because this node or the destination was dead.
     std::uint64_t dead_letters() const { return dead_letters_; }
@@ -217,6 +228,7 @@ private:
         Handler fn;
         HandlerClass handler_class = HandlerClass::kInline;
         bool registered = false;
+        bool jump_queue = false;
     };
     std::array<HandlerEntry, kNumMsgTypes> handlers_{};
 
@@ -238,6 +250,7 @@ private:
     std::unordered_set<KernelId> dead_peers_;
     bool dead_ = false;
     std::uint64_t dead_letters_ = 0;
+    int handlers_running_ = 0;
     std::uint64_t rpc_failures_ = 0;
 
     std::array<std::uint64_t, kNumMsgTypes> dispatched_{};

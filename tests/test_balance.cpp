@@ -3,7 +3,8 @@
 // Behavioural coverage: threshold-push drains an overloaded kernel,
 // idle-steal converges a skewed burst to near-SMP makespan, affinity chases
 // a thread's page-owner kernel, hysteresis bounds balancer moves on a
-// two-kernel tug-of-war, and same-seed runs are bit-identical.
+// two-kernel tug-of-war, same-seed runs are bit-identical, and a balancer
+// doorbell storm never leaves the tick actor a stale wake-up permit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -175,6 +176,48 @@ TEST(Balance, SameSeedRunsBitIdentical) {
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.bytes, b.bytes);
     EXPECT_EQ(a.steals, b.steals);
+}
+
+// Regression: two balancer doorbells raised in the same instant — here two
+// threads becoming runnable at once on a kernel whose balancer had parked
+// idle — used to unpark the tick actor twice. The second unpark found it
+// already runnable and banked a permit, and the tick's next park — a
+// contended futex-bucket SpinLock inside the gossip's hottest-word census,
+// while the new threads hammer the origin's futex table — returned on that
+// permit without the lock ("owner_ == &self"). Seeds 2-4 are the ones a
+// futex-woken kAffinity service aborted on.
+TEST(Balance, DoorbellStormLeavesNoStalePermit) {
+    constexpr int kThreads = 8;
+    constexpr int kWakes = 200;
+    for (const std::uint64_t seed : {2u, 3u, 4u}) {
+        MachineConfig config;
+        config.ncores = 16;
+        config.nkernels = 2;
+        config.seed = seed;
+        config.balance.policy = balance::Policy::kAffinity;
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        Vaddr words = 0;
+        process.spawn([&](Guest& g) { words = g.mmap(kPageSize); }, 1);
+        // Quiesce: every balancer parks idle.
+        machine.run();
+        process.check_all_joined();
+        std::uint64_t done = 0;
+        for (int i = 0; i < kThreads; ++i) {
+            process.spawn(
+                [&, i](Guest& g) {
+                    for (int n = 0; n < kWakes; ++n) {
+                        const auto w = static_cast<Vaddr>((i * kWakes + n) % 512);
+                        g.futex_wake(words + w * 8, 1);
+                    }
+                    ++done;
+                },
+                0);
+        }
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(done, static_cast<std::uint64_t>(kThreads)) << "seed=" << seed;
+    }
 }
 
 } // namespace

@@ -4,9 +4,11 @@
 // Behavioural coverage: the per-task top-K tracker ranks by heat and ages
 // by decay; a migration with workset push enabled reaches the exact same
 // guest-visible state as the demand-only protocol (pre-copy is a pure
-// latency optimization); pushes racing a destination kill fail cleanly
-// (kPeerDead) without leaking directory busy bits; and sharded homes
-// (RKO_HOME_SHARDS=4 equivalent) serve the pull round identically to the
+// latency optimization); dirty pages move OWNED (the destination's writes
+// stay local, the source keeps no PTE) while shared pages and read-only
+// VMAs move as replicas; pushes racing a destination or source kill fail
+// cleanly without leaking directory busy bits, page data or frames; and
+// sharded homes (home_shards=4) serve the pull round identically to the
 // unsharded origin. The stale stride-detector regression (a revisit
 // reactivating an old task record must not fire a bogus kPageFaultBatch)
 // rides along because migration arrival owns both resets.
@@ -18,6 +20,7 @@
 
 #include "rko/api/machine.hpp"
 #include "rko/core/page_owner.hpp"
+#include "rko/kernel/kernel.hpp"
 #include "rko/smp/smp.hpp"
 #include "rko/task/task.hpp"
 
@@ -31,6 +34,44 @@ using mem::Vaddr;
 std::uint64_t counter_value(trace::MetricsRegistry& m, std::string_view name) {
     const trace::Counter* c = m.find_counter(name);
     return c == nullptr ? 0 : c->value;
+}
+
+std::uint64_t remote_faults(Machine& machine) {
+    std::uint64_t n = 0;
+    for (topo::KernelId k = 0; k < machine.config().nkernels; ++k) {
+        n += machine.kernel(k).pages().remote_faults();
+    }
+    return n;
+}
+
+/// The directory entry for `va` at its (unsharded) home, the origin k0.
+core::PageDirEntry dir_entry(Machine& machine, Pid pid, Vaddr va) {
+    const std::uint64_t vpn = mem::vpn_of(va);
+    auto& shard = machine.kernel(0).site(pid).dir_shard(vpn);
+    const auto it = shard.entries.find(vpn);
+    EXPECT_NE(it, shard.entries.end()) << "no directory entry for va " << va;
+    return it == shard.entries.end() ? core::PageDirEntry{} : it->second;
+}
+
+const mem::Pte* pte_at(Machine& machine, topo::KernelId k, Pid pid, Vaddr va) {
+    if (!machine.kernel(k).has_site(pid)) return nullptr;
+    const mem::Pte* pte = machine.kernel(k).site(pid).space().page_table().find(va);
+    return pte != nullptr && pte->present ? pte : nullptr;
+}
+
+/// Every live kernel's allocated frames are exactly the frames its page
+/// tables map: a frame revoked by an ownership push and never freed (or
+/// freed twice) shows up here.
+void expect_frames_balanced(Machine& machine, Pid pid, Nanos kill_at) {
+    for (topo::KernelId k = 0; k < machine.config().nkernels; ++k) {
+        if (machine.is_killed(k)) continue;
+        kernel::Kernel& kern = machine.kernel(k);
+        const std::size_t mapped =
+            kern.has_site(pid) ? kern.site(pid).space().page_table().present_pages()
+                               : 0;
+        EXPECT_EQ(kern.frames().total_frames() - kern.frames().free_frames(), mapped)
+            << "k" << k << " kill_at=" << kill_at;
+    }
 }
 
 // --- Tracker unit behavior (no machine) -------------------------------------
@@ -184,6 +225,284 @@ TEST(WorksetMigration, ShardedAndUnshardedAgree) {
     EXPECT_GE(sharded.pushed, 1u);
     EXPECT_EQ(sharded.hit, sharded.pushed);
     EXPECT_EQ(sharded.wasted, 0u);
+}
+
+// --- Ownership push: dirty pages move owned ---------------------------------
+
+// A writer dirties pages on `source`, migrates to k2, and retouches them:
+// read-verify, then rewrite. Each page was Exclusive at the source, so the
+// pull moves it Exclusive: the rewrites hit local writable PTEs (zero
+// remote faults), the directory names k2 the owner, and the source keeps
+// no PTE. Source k0 is the home itself (batched local revoke); source k1
+// is a remote owner (one scatter of want_data invalidates). Only the
+// writes are counted: a read can still overtake its page's install in the
+// destination's leaf pool and wait out the busy bit remotely.
+TEST(WorksetMigration, OwnershipPushMakesRetouchWritesLocal) {
+    constexpr int kPages = 16;
+    for (const topo::KernelId source : {0, 1}) {
+        Machine machine(smp::popcorn_config(8, 4));
+        auto& process = machine.create_process(0);
+        Vaddr buf = 0;
+        std::uint64_t write_faults = ~0ull;
+        process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                           0x3000u + static_cast<std::uint64_t>(p));
+                }
+                g.migrate(2);
+                for (int p = 0; p < kPages; ++p) {
+                    EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize),
+                              0x3000u + static_cast<std::uint64_t>(p));
+                }
+                const std::uint64_t before = remote_faults(machine);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize, p);
+                }
+                write_faults = remote_faults(machine) - before;
+            },
+            source);
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(write_faults, 0u) << "source=k" << source;
+        for (int p = 0; p < kPages; ++p) {
+            const Vaddr a = buf + static_cast<Vaddr>(p) * kPageSize;
+            const core::PageDirEntry e = dir_entry(machine, process.pid(), a);
+            EXPECT_EQ(e.state, core::PageDirEntry::State::kExclusive);
+            EXPECT_EQ(e.owner, 2);
+            EXPECT_EQ(pte_at(machine, source, process.pid(), a), nullptr)
+                << "source=k" << source << " page " << p;
+            const mem::Pte* dst = pte_at(machine, 2, process.pid(), a);
+            ASSERT_NE(dst, nullptr);
+            EXPECT_NE(dst->prot & mem::kProtWrite, 0u);
+        }
+        auto metrics = machine.collect_metrics();
+        EXPECT_EQ(counter_value(metrics, "migration.workset.pushed"),
+                  static_cast<std::uint64_t>(kPages));
+        EXPECT_EQ(counter_value(metrics, "migration.workset.hit"),
+                  static_cast<std::uint64_t>(kPages));
+        expect_frames_balanced(machine, process.pid(), 0);
+    }
+}
+
+// Pages a second kernel also reads are Shared when the writer migrates:
+// they move as read-only replicas and every earlier holder keeps its copy.
+TEST(WorksetMigration, SharedPagesStayReplicas) {
+    constexpr int kPages = 8;
+    Machine machine(smp::popcorn_config(8, 4));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    std::uint64_t sum = 0;
+    process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       0x4000u + static_cast<std::uint64_t>(p));
+            }
+            auto& reader = g.spawn(
+                [&](Guest& r) {
+                    for (int p = 0; p < kPages; ++p) {
+                        r.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+                    }
+                },
+                3);
+            g.join(reader);
+            g.migrate(2);
+            for (int p = 0; p < kPages; ++p) {
+                sum += g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+            }
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_EQ(sum, kPages * 0x4000u + kPages * (kPages - 1) / 2);
+    auto metrics = machine.collect_metrics();
+    EXPECT_GE(counter_value(metrics, "migration.workset.hit"),
+              static_cast<std::uint64_t>(kPages));
+    EXPECT_EQ(counter_value(metrics, "migration.workset.wasted"), 0u);
+    for (int p = 0; p < kPages; ++p) {
+        const Vaddr a = buf + static_cast<Vaddr>(p) * kPageSize;
+        const core::PageDirEntry e = dir_entry(machine, process.pid(), a);
+        EXPECT_EQ(e.state, core::PageDirEntry::State::kShared);
+        EXPECT_TRUE(e.holds(1) && e.holds(2) && e.holds(3)) << "page " << p;
+        for (const topo::KernelId k : {1, 2, 3}) {
+            const mem::Pte* pte = pte_at(machine, k, process.pid(), a);
+            ASSERT_NE(pte, nullptr) << "k" << k << " page " << p;
+            EXPECT_EQ(pte->prot & mem::kProtWrite, 0u);
+        }
+    }
+}
+
+// An Exclusive page in a VMA without write permission (reachable in the
+// no-read-replication ablation, where read faults take ownership) moves as
+// a replica: the source is downgraded and keeps its copy. The destination
+// does not retouch — in this ablation its own read faults would take the
+// pages over.
+TEST(WorksetMigration, ReadOnlyVmaPushedAsReplica) {
+    constexpr int kPages = 4;
+    MachineConfig config = smp::popcorn_config(8, 4);
+    config.read_replication = false;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize, mem::kProtRead);
+            for (int p = 0; p < kPages; ++p) {
+                g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+            }
+            g.migrate(2);
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    auto metrics = machine.collect_metrics();
+    EXPECT_EQ(counter_value(metrics, "migration.workset.hit"),
+              static_cast<std::uint64_t>(kPages));
+    for (int p = 0; p < kPages; ++p) {
+        const Vaddr a = buf + static_cast<Vaddr>(p) * kPageSize;
+        const core::PageDirEntry e = dir_entry(machine, process.pid(), a);
+        EXPECT_EQ(e.state, core::PageDirEntry::State::kShared);
+        EXPECT_TRUE(e.holds(1) && e.holds(2)) << "page " << p;
+        EXPECT_NE(pte_at(machine, 1, process.pid(), a), nullptr) << "page " << p;
+        EXPECT_NE(pte_at(machine, 2, process.pid(), a), nullptr) << "page " << p;
+    }
+}
+
+// --- Ownership pushes racing a kill -----------------------------------------
+
+struct KillRun {
+    std::vector<std::uint64_t> values;
+    std::vector<bool> at_dest; ///< page mapped at k2 when the writer finished
+    std::vector<bool> at_home; ///< page mapped at the home k0 after the kill
+};
+
+/// After a lease warm-up, a writer on `source` dirties kPages and migrates
+/// to `dest`; the home k0 pulls them from the source in one scatter of
+/// want_data invalidates (about t=307-348us). The `kills` land in order;
+/// afterwards a reader on the surviving origin re-faults every page. The balance period (which
+/// also halves the tracker's heat each tick) is long enough that the whole
+/// dirtying pass lands between two ticks, so every page ships.
+struct Kill {
+    topo::KernelId victim;
+    Nanos at;
+};
+
+KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
+                             const std::vector<Kill>& kills) {
+    const Nanos kill_at = kills.back().at;
+    constexpr int kPages = 16;
+    MachineConfig config = smp::popcorn_config(8, 4);
+    config.frames_per_kernel = 4096;
+    config.balance.policy = balance::Policy::kIdleSteal;
+    config.balance.period = 100_us;
+    config.balance.min_residency = 50_us;
+    config.balance.migration_budget = 4;
+    config.elastic.enabled = true;
+    config.elastic.lease_misses = 4;
+    config.check = true; // audit directory invariants at quiesce
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    KillRun r;
+    r.at_dest.assign(kPages, false);
+    r.at_home.assign(kPages, false);
+    process.spawn(
+        [&](Guest& g) {
+            g.compute(200_us); // let the lease/gossip machinery warm up
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       0x5000u + static_cast<std::uint64_t>(p));
+            }
+            g.migrate(dest);
+            for (int p = 0; p < kPages; ++p) {
+                r.at_dest[static_cast<std::size_t>(p)] =
+                    pte_at(machine, dest, process.pid(),
+                           buf + static_cast<Vaddr>(p) * kPageSize) != nullptr;
+            }
+            g.compute(500_us);
+        },
+        source);
+    // Both doomed-or-not peers announce themselves: a kernel's balancer
+    // gossips only while active, and leases ignore peers never heard from.
+    process.spawn([](Guest& g) { g.compute(150_us); }, dest);
+    process.spawn([](Guest& g) { g.compute(2_ms); }, 0);
+    for (const Kill& kill : kills) {
+        machine.run_until(kill.at);
+        machine.kill_kernel(kill.victim);
+    }
+    machine.run();
+    process.check_all_joined();
+    for (const Kill& kill : kills) {
+        EXPECT_TRUE(machine.is_killed(kill.victim)) << "kill_at=" << kill_at;
+    }
+    expect_frames_balanced(machine, process.pid(), kill_at);
+    for (int p = 0; p < kPages; ++p) {
+        r.at_home[static_cast<std::size_t>(p)] =
+            pte_at(machine, 0, process.pid(),
+                   buf + static_cast<Vaddr>(p) * kPageSize) != nullptr;
+    }
+
+    r.values.assign(kPages, 0);
+    process.spawn(
+        [&](Guest& g) {
+            for (int p = 0; p < kPages; ++p) {
+                r.values[static_cast<std::size_t>(p)] =
+                    g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize);
+            }
+        },
+        0);
+    machine.run();
+    process.check_all_joined();
+    expect_frames_balanced(machine, process.pid(), kill_at);
+    return r;
+}
+
+// Killing the SOURCE mid-scatter: every page it surrendered before dying
+// reaches the destination intact; the rest died with it (its sole copy)
+// and refault as zero — never as stale or foreign bytes. No busy bit,
+// pending install or frame leaks on the survivors.
+TEST(WorksetMigration, SourceKillDuringOwnershipPullLosesNoData) {
+    for (const Nanos kill_at : {300_us, 310_us, 320_us, 330_us, 340_us, 350_us}) {
+        const KillRun r = run_kill_during_pull(1, 2, {{1, kill_at}});
+        for (std::size_t p = 0; p < r.values.size(); ++p) {
+            const std::uint64_t want = 0x5000u + p;
+            if (r.at_dest[p]) {
+                EXPECT_EQ(r.values[p], want) << "kill_at=" << kill_at << " page " << p;
+            } else {
+                EXPECT_TRUE(r.values[p] == want || r.values[p] == 0)
+                    << "kill_at=" << kill_at << " page " << p;
+            }
+        }
+    }
+}
+
+// Killing the destination (k1) just after it sent its pull, then the
+// source (k2) mid-scatter: the home's failure detector probes k1 first, so
+// by the time the source's death fails the scatter the requester is known
+// dead too and nothing ships. The home takes the elastic early-return
+// path: every page the source surrendered before dying is adopted into a
+// fresh frame at the home — read back intact — and the frame audit holds
+// on the survivors.
+TEST(WorksetMigration, RequesterKillDuringOwnershipPullKeepsSurrenderedPages) {
+    std::size_t adopted = 0;
+    for (const Nanos kill_at : {310_us, 320_us, 330_us, 340_us}) {
+        const KillRun r = run_kill_during_pull(2, 1, {{1, 306_us}, {2, kill_at}});
+        for (std::size_t p = 0; p < r.values.size(); ++p) {
+            const std::uint64_t want = 0x5000u + p;
+            if (r.at_home[p]) {
+                ++adopted;
+                EXPECT_EQ(r.values[p], want) << "kill_at=" << kill_at << " page " << p;
+            } else {
+                EXPECT_TRUE(r.values[p] == want || r.values[p] == 0)
+                    << "kill_at=" << kill_at << " page " << p;
+            }
+        }
+    }
+    EXPECT_GT(adopted, 0u); // the sweep really lands inside the scatter
 }
 
 // --- Pushes racing a destination kill fail cleanly ---------------------------

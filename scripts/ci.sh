@@ -15,8 +15,9 @@
 #                installed)
 #   5. asan/tsan: scripts/check.sh (ASan+UBSan tree, then TSan tree)
 #   6. explore:  200-seed schedule-exploration sweep over every scenario
-#                with invariant audits armed (RKO_CHECK=1); failures print
-#                the offending seed and its repro line
+#                with invariant audits armed (RKO_CHECK=1), then a 25-seed
+#                sweep with 4-way sharded homes (RKO_HOME_SHARDS=4);
+#                failures print the offending seed and its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration + mmap-scale
 #                benches vs the committed baselines — virtual time is exactly
 #                reproducible, so any >10% drift in a key protocol latency
@@ -68,6 +69,8 @@ fi
 echo "=== ci.sh stage 6/7: ${EXPLORE_SEEDS}-seed schedule exploration ==="
 RKO_CHECK=1 ./build/tools/rko_explore --seeds "$EXPLORE_SEEDS" \
   || fail explore "RKO_CHECK=1 ./build/tools/rko_explore --seeds $EXPLORE_SEEDS"
+RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --seeds 25 \
+  || fail explore "RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --seeds 25"
 
 echo "=== ci.sh stage 7/7: bench regression gate ==="
 mkdir -p build/bench_out

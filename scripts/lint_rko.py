@@ -135,9 +135,10 @@ LOCK_RELEASE = re.compile(r"([A-Za-z_][\w.\->\[\]]*lock)\s*\.\s*unlock\s*\(\s*\)
 SERIAL_FANOUT_LOOP = re.compile(
     r"\b(for|while)\s*\(.*(mask\s*&=\s*mask\s*-\s*1|holder_mask\s*\(\s*\))")
 SERIAL_FANOUT_RPC = re.compile(r"\.rpc(_all)?\s*\(")
-# A loop over a page-push list (the working-set and fault-around push
-# paths): an .rpc( inside one fetches or invalidates page by page where one
-# scatter round over every source would overlap them.
+# A loop over a page-push list (PageOwner::push_pages, the one pipeline
+# fault-around windows and working-set pulls share): an .rpc( inside one
+# fetches or invalidates page by page where one scatter round over every
+# source would overlap them.
 PUSH_LIST_LOOP = re.compile(
     r"\bfor\s*\(.*(\bPushPage\b|:\s*(work|grants|pushes)\s*\))")
 

@@ -371,8 +371,14 @@ core::MigrationBreakdown Guest::migrate(topo::KernelId dest) {
     kernel::Kernel& src = k();
     if (!src.migration().migrate_out(t(), dest, &breakdown)) {
         // Destination dead or refusing: resume locally as if the
-        // migration had never been requested.
-        place(thread_.kernel_id_);
+        // migration had never been requested. A destination already
+        // declared dead is refused before the checkpoint, so the task
+        // still holds its core — re-acquiring would leak that core.
+        if (t().on_core()) {
+            bind(thread_.kernel_id_);
+        } else {
+            place(thread_.kernel_id_);
+        }
         return breakdown;
     }
     const Nanos resumed_from = now();

@@ -1,3 +1,30 @@
+// Page ownership: the home-side directory transactions, the requester-side
+// installs, the ranged sweeps and the page-push pipeline (DESIGN.md §1, §10,
+// §14, §15).
+//
+// LOCK AND CLAIM ORDER. Every path in this file obeys these five rules;
+// the comments below point here instead of restating them.
+//
+//   1. A directory shard lock is never held across an await (an RPC, a
+//      sleep, a busy-bit wait). It guards one no-yield step on the entry
+//      map; protocol work runs under the entry's busy bit instead.
+//   2. mmap guard, then shard lock. A path that needs both takes the
+//      site's mmap lock first and the shard lock inside it, never the
+//      other way round.
+//   3. A fault transaction holds ONE busy bit and never waits for a
+//      second; its protocol work is RPCs to leaf handlers, which always
+//      complete.
+//   4. Multi-page pushes (fault-around windows, working-set pulls, boosted
+//      batches) only TRY-claim: an absent, busy or requester-held entry
+//      is skipped, never waited for.
+//   5. The ranged claim-all paths (revoke/downgrade/sequester_range,
+//      evict_holder) claim many busy bits before releasing any; they
+//      serialize among themselves on the site's vma_op_lock.
+//
+// So every busy-bit waiter waits on a holder that will release without
+// waiting itself (rules 3, 4) or on a claim-all path that holds the
+// vma_op_lock (rule 5): the wait graph has no cycle.
+
 #include "rko/core/page_owner.hpp"
 
 #include <algorithm>
@@ -5,6 +32,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -132,9 +160,7 @@ void PageOwner::install() {
         });
     k_.node().register_handler(
         msg::MsgType::kWorksetPush, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_workset_push(node, std::move(m));
-        });
+        [this](msg::Node& node, msg::MessagePtr m) { on_page_push(node, std::move(m)); });
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +274,18 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             shard.lock.unlock();
             continue;
         }
+        if (home_of(site, page) != k_.id()) {
+            // The shard moved away while this transaction waited on a busy
+            // bit or a validation RPC: a drain parts the moment its slice
+            // looks idle, and its successor censuses the PTEs. Claiming here
+            // would race that census — send the requester to the new home.
+            // Checked under the shard lock, in the no-yield window before
+            // the claim, so a drain's idle poll sees either this claim or
+            // nothing.
+            shard.lock.unlock();
+            out.status = FaultStatus::kRetry;
+            return out.status;
+        }
         shard.shadow.on_read(); // the routing decision below reads the entry
         auto it = shard.entries.find(vpn);
         if (it == shard.entries.end()) {
@@ -277,8 +315,8 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         }
 
         PageDirEntry& entry = it->second;
-        RKO_TRACE("%lld txn page=%llx access=%u req=%d state=%d owner=%d sharers=%llx busy=%d",
-                  static_cast<long long>(k_.engine().now()),
+        RKO_TRACE("%lld txn k=%d page=%llx access=%u req=%d state=%d owner=%d sharers=%llx busy=%d",
+                  static_cast<long long>(k_.engine().now()), k_.id(),
                   static_cast<unsigned long long>(page), access, requester,
                   static_cast<int>(entry.state), entry.owner,
                   static_cast<unsigned long long>(entry.sharers),
@@ -302,7 +340,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         const PageDirEntry snapshot = entry;
         shard.lock.unlock();
 
-        // --- Protocol work: no shard lock held across awaits. ---
+        // --- Protocol work: no shard lock held across awaits (rule 1). ---
         out.zero_fill = false;
         out.upgrade = false;
         out.data_included = false;
@@ -540,8 +578,8 @@ void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
     shard.lock.unlock();
-    RKO_TRACE("%lld commit page=%llx req=%d ok=%d",
-              static_cast<long long>(k_.engine().now()),
+    RKO_TRACE("%lld commit k=%d page=%llx req=%d ok=%d",
+              static_cast<long long>(k_.engine().now()), k_.id(),
               static_cast<unsigned long long>(page), requester, static_cast<int>(ok));
 }
 
@@ -772,10 +810,10 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
             continue; // loop re-checks the PTE
         }
         PageFaultResp resp{};
-        if (origin_transaction(site, page, mem::kProtRead, k_.id(), resp) !=
-            FaultStatus::kOk) {
-            return nullptr;
-        }
+        const FaultStatus status =
+            origin_transaction(site, page, mem::kProtRead, k_.id(), resp);
+        if (status == FaultStatus::kRetry) continue; // the home moved: re-route
+        if (status != FaultStatus::kOk) return nullptr;
         const bool installed = install_locally(site, vma, page, mem::kProtRead, resp);
         commit_install(site, page, k_.id(), installed);
     }
@@ -786,14 +824,9 @@ namespace {
 
 /// Claims the busy bit of `vpn`'s entry, waiting out other transactions.
 /// Returns false if the entry does not exist (nothing to do). On success
-/// the snapshot holds the pre-claim state and the entry is busy.
-///
-/// Deadlock note for the ranged paths, which claim MANY busy bits before
-/// releasing any: a fault transaction holds exactly one busy bit and never
-/// waits on another (its protocol work is RPCs to leaf handlers, which
-/// always complete), a prefetch batch claims extra bits only with try-claim
-/// semantics (never waits), and destructive ops serialize on the
-/// vma_op_lock — so the wait graph has no cycle.
+/// the snapshot holds the pre-claim state and the entry is busy. The
+/// ranged paths claim many bits this way: see rule 5 at the top of this
+/// file for why that cannot deadlock.
 bool claim_busy(sim::Engine& engine, msg::Node& node,
                 ProcessSite::DirShard& shard, std::uint64_t vpn,
                 PageDirEntry* snapshot) {
@@ -1417,9 +1450,7 @@ std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site
 std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) {
     RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
     RKO_ASSERT(holder != k_.id());
-    // Serialize against the destructive ranged ops: like them, this claims
-    // MANY busy bits before releasing any, and two such sweeps interleaved
-    // could deadlock on each other's claims.
+    // A claim-all path like the destructive ranged ops (rule 5).
     WriteGuard op_guard(site.vma_op_lock());
 
     struct EvictPage {
@@ -1553,7 +1584,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
 }
 
 // ---------------------------------------------------------------------------
-// Batched local holder ops & fault-around prefetch.
+// Batched local holder ops.
 // ---------------------------------------------------------------------------
 
 std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
@@ -1599,178 +1630,37 @@ std::uint32_t PageOwner::local_downgrade_range(
     return touched;
 }
 
-std::vector<mem::Vaddr> PageOwner::claim_prefetch_pages(ProcessSite& site,
-                                                        mem::Vaddr first,
-                                                        std::uint32_t window,
-                                                        topo::KernelId requester,
-                                                        std::uint32_t hard_cap) {
-    std::vector<mem::Vaddr> grants;
-    const std::uint32_t cap = std::min(window, hard_cap);
-    // Re-clip against the MASTER VMA — the requester clipped against its
+// ---------------------------------------------------------------------------
+// The page-push pipeline (home side): fault-around windows (DESIGN.md §10),
+// working-set pulls and post-migration boosted batches (§15).
+// ---------------------------------------------------------------------------
+
+std::vector<mem::Vaddr> PageOwner::claim_pages(ProcessSite& site,
+                                               std::span<const std::uint64_t> vpns,
+                                               topo::KernelId requester) {
+    // Validate against the MASTER VMA tree (a non-origin home's replica)
+    // under one read guard — the requester built the list against its own
     // replica, which may be stale.
-    mem::Vaddr limit;
+    std::vector<mem::Vaddr> candidates;
     {
         ReadGuard guard(site.space().mmap_lock());
-        const mem::Vma* vma = site.space().vmas().find(first);
-        if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) return grants;
-        limit = vma->end;
-    }
-    for (std::uint32_t i = 1; i < cap; ++i) {
-        const mem::Vaddr page = first + static_cast<mem::Vaddr>(i) * mem::kPageSize;
-        if (page >= limit) break;
-        const std::uint64_t vpn = mem::vpn_of(page);
-        // Sharded homes: a window's pages hash to different shards — only
-        // the ones homed HERE can be claimed; the rest demand-fault at
-        // their own homes.
-        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) continue;
-        auto& shard = site.dir_shard(vpn);
-        // Try-claim only: a page that is absent (never touched — zero-fill
-        // is the requester's own cheap path), busy (live transaction), or
-        // already held by the requester is skipped, never waited for.
-        shard.lock.lock();
-        auto it = shard.entries.find(vpn);
-        if (it == shard.entries.end() || it->second.busy ||
-            it->second.holds(requester)) {
-            shard.lock.unlock();
-            continue;
-        }
-        it->second.busy = true;
-        shard.lock.unlock();
-        grants.push_back(page);
-    }
-    return grants;
-}
-
-void PageOwner::push_prefetch_page(ProcessSite& site, mem::Vaddr page,
-                                   topo::KernelId requester) {
-    const std::uint64_t vpn = mem::vpn_of(page);
-    auto& shard = site.dir_shard(vpn);
-    shard.lock.lock();
-    auto it = shard.entries.find(vpn);
-    RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
-                   "prefetch lost its claimed entry");
-    const PageDirEntry snapshot = it->second;
-    shard.lock.unlock();
-
-    // Read-replication protocol work for one claimed page — the same
-    // transitions a demand read fault would make, but initiated by the
-    // origin and delivered as an unsolicited push.
-    // Prefetch is best-effort: a fetch source that died (elastic) simply
-    // cancels this page's push — release the claimed busy bit and let the
-    // requester demand-fault it later.
-    const auto cancel_claim = [&] {
-        shard.lock.lock();
-        auto entry_it = shard.entries.find(vpn);
-        if (entry_it != shard.entries.end()) entry_it->second.busy = false;
-        shard.busy_wait.notify_all();
-        shard.lock.unlock();
-    };
-
-    PagePushMsg push{};
-    push.pid = site.pid();
-    push.va = page;
-    push.data_included = true;
-    PageDirEntry updated = snapshot;
-    updated.busy = false;
-    if (snapshot.state == PageDirEntry::State::kShared) {
-        if (snapshot.holds(k_.id())) {
-            RKO_ASSERT(local_fetch(site, page, false, push.data.data()));
-            push.source = static_cast<std::uint8_t>(k_.id());
-        } else {
-            const auto source =
-                static_cast<topo::KernelId>(std::countr_zero(snapshot.sharers));
-            fetches_.inc();
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                source, msg::make_message(msg::MsgType::kPageFetch,
-                                          msg::MsgKind::kRequest,
-                                          PageFetchReq{site.pid(), page, false}),
-                &st);
-            if (reply == nullptr) {
-                cancel_claim();
-                return;
-            }
-            const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-            RKO_ASSERT_MSG(fetched.ok, "sharer lost its copy mid-prefetch");
-            push.data = fetched.data;
-            push.source = static_cast<std::uint8_t>(source);
-        }
-        updated.sharers = snapshot.sharers | topo::kbit(requester);
-    } else {
-        // Exclusive elsewhere (the requester was excluded at claim time):
-        // downgrade the owner exactly like a read fault would.
-        if (snapshot.owner == k_.id()) {
-            RKO_ASSERT(local_fetch(site, page, true, push.data.data()));
-        } else {
-            fetches_.inc();
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                snapshot.owner, msg::make_message(msg::MsgType::kPageFetch,
-                                                  msg::MsgKind::kRequest,
-                                                  PageFetchReq{site.pid(), page, true}),
-                &st);
-            if (reply == nullptr) {
-                cancel_claim();
-                return;
-            }
-            const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-            RKO_ASSERT_MSG(fetched.ok, "owner lost its copy mid-prefetch");
-            push.data = fetched.data;
-        }
-        push.source = static_cast<std::uint8_t>(snapshot.owner);
-        updated.state = PageDirEntry::State::kShared;
-        updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-        updated.owner = -1;
-    }
-    if (k_.node().peer_dead(requester)) {
-        // The requester died while we were fetching: nobody will ever
-        // confirm the push — do not park a pending that cannot commit.
-        cancel_claim();
-        return;
-    }
-
-    // Park the post-transaction state; the requester's kPageInstalled (sent
-    // by its on_page_push, success or not) commits or rolls back and
-    // releases the busy bit — the standard three-phase shape.
-    shard.lock.lock();
-    RKO_ASSERT(shard.entries.contains(vpn));
-    shard.pending[vpn] = updated;
-    shard.pending_from[vpn] = requester;
-    shard.lock.unlock();
-    prefetch_issued_.inc();
-    k_.node().send(requester,
-                   msg::make_message_prefix(msg::MsgType::kPagePush,
-                                            msg::MsgKind::kOneway, push,
-                                            wire_bytes(push)));
-}
-
-// ---------------------------------------------------------------------------
-// Working-set migration push (home side, DESIGN.md §15).
-// ---------------------------------------------------------------------------
-
-std::vector<mem::Vaddr> PageOwner::claim_workset_pages(ProcessSite& site,
-                                                       const std::uint64_t* vpns,
-                                                       std::uint32_t count,
-                                                       topo::KernelId requester) {
-    std::vector<mem::Vaddr> grants;
-    for (std::uint32_t i = 0; i < count && i < task::kMaxWorkset; ++i) {
-        const std::uint64_t vpn = vpns[i];
-        const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-        // Per-page VMA validation — an explicit hot-page list has no single
-        // clipping range like a fault-around window does.
-        {
-            ReadGuard guard(site.space().mmap_lock());
+        for (const std::uint64_t vpn : vpns) {
+            const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
             const mem::Vma* vma = site.space().vmas().find(page);
-            if (vma == nullptr || (vma->prot & mem::kProtRead) == 0) continue;
+            if (vma != nullptr && (vma->prot & mem::kProtRead) != 0) {
+                candidates.push_back(page);
+            }
         }
-        // Sharded homes: only pages homed HERE can be claimed; a stale
-        // route (home moved since the list shipped) demand-faults later.
-        if (k_.home_map().sharded() && home_of(site, page) != k_.id()) continue;
+    }
+    // Try-claim only (rule 4 at the top of this file): skip pages homed
+    // elsewhere (a window's pages hash to different shards, and a pull's
+    // route can go stale), absent (never touched — the requester zero-fills
+    // cheaply), busy (live transaction) or already held by the requester.
+    std::vector<mem::Vaddr> grants;
+    for (const mem::Vaddr page : candidates) {
+        if (home_of(site, page) != k_.id()) continue;
+        const std::uint64_t vpn = mem::vpn_of(page);
         auto& shard = site.dir_shard(vpn);
-        // Try-claim only (the prefetch deadlock discipline): a page that is
-        // absent (never touched — the requester zero-fills cheaply), busy
-        // (live transaction), or already held by the requester is skipped,
-        // never waited for.
         shard.lock.lock();
         auto it = shard.entries.find(vpn);
         if (it == shard.entries.end() || it->second.busy ||
@@ -1785,10 +1675,10 @@ std::vector<mem::Vaddr> PageOwner::claim_workset_pages(ProcessSite& site,
     return grants;
 }
 
-std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
-                                            const std::vector<mem::Vaddr>& pages,
-                                            topo::KernelId requester,
-                                            std::vector<mem::Paddr>* freed) {
+std::uint32_t PageOwner::push_pages(ProcessSite& site,
+                                    const std::vector<mem::Vaddr>& pages,
+                                    topo::KernelId requester, bool owned,
+                                    std::vector<mem::Paddr>* freed) {
     if (pages.empty()) return 0;
     struct PushPage {
         mem::Vaddr page = 0;
@@ -1815,9 +1705,11 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
 
     // Plan: snapshot every claimed entry and decide each page's byte source
     // and post-push directory state — the transitions the requester's own
-    // faults would make. Exclusive pages in a writable VMA move OWNED (the
-    // retouch's writes then hit a local writable PTE instead of a second
-    // remote fault); Shared pages and read-only VMAs get a replica.
+    // faults would make. When `owned`, Exclusive pages in a writable VMA
+    // move OWNED (a migrant's retouch writes then hit a local writable PTE
+    // instead of a second remote fault); everything else — and every page
+    // of a streaming fault-around window, which stands in for read faults —
+    // gets a replica, an Exclusive holder being downgraded.
     {
         ReadGuard guard(site.space().mmap_lock());
         for (std::size_t i = 0; i < pages.size(); ++i) {
@@ -1833,7 +1725,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         shard.lock.lock();
         auto it = shard.entries.find(p.vpn);
         RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
-                       "workset push lost its claimed entry");
+                       "push lost its claimed entry");
         const PageDirEntry snapshot = it->second;
         shard.lock.unlock();
         p.updated = snapshot;
@@ -1847,7 +1739,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
                            : static_cast<topo::KernelId>(
                                  std::countr_zero(snapshot.sharers));
             p.updated.sharers = snapshot.sharers | topo::kbit(requester);
-        } else if ((p.vma_prot & mem::kProtWrite) != 0) {
+        } else if (owned && (p.vma_prot & mem::kProtWrite) != 0) {
             p.source = snapshot.owner;
             p.push.exclusive = true;
             p.updated.owner = requester;
@@ -1867,7 +1759,7 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
     // one modeled shootdown (the local_*_range shape). Clears, protects and
     // the bump share a no-yield window; the copy sleeps land after it
     // closes (see local_invalidate). Revoked frames are NOT freed here: the
-    // caller frees them after its reply, off the puller's critical path.
+    // caller frees them after its reply, off the requester's critical path.
     {
         WriteGuard guard(site.space().mmap_lock());
         std::uint32_t changed = 0;
@@ -1910,10 +1802,10 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
 
     // Remote byte sources, all in ONE scatter round: an ownership push
     // invalidates the old owner with want_data, a replica push fetches
-    // (downgrading an Exclusive holder). With unsharded homes the origin
-    // never holds a migrant's pages, so this is the common case. A source
-    // that died (elastic) or dropped its copy (racing munmap sweep) cancels
-    // that page's push; the requester demand-faults it later.
+    // (downgrading an Exclusive holder). A serial per-page loop would pay
+    // one round trip per page. A source that died (elastic) or dropped its
+    // copy (racing munmap sweep) cancels that page's push; the requester
+    // demand-faults it later.
     std::vector<msg::Node::ScatterItem> posts;
     std::vector<std::size_t> post_page;
     for (std::size_t i = 0; i < work.size(); ++i) {
@@ -1994,9 +1886,11 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         return 0;
     }
 
-    // Park pendings and ship. The destination's confirm (kPageInstalled
-    // from on_workset_push, success or not) commits or rolls each one back
-    // and releases the busy bit — the standard three-phase shape.
+    // Park pendings and ship. The requester's confirm (kPageInstalled from
+    // on_page_push, success or not) commits or rolls each one back and
+    // releases the busy bit — the standard three-phase shape.
+    const msg::MsgType type = owned ? msg::MsgType::kWorksetPush : msg::MsgType::kPagePush;
+    trace::Counter& issued = owned ? workset_pushed_ : prefetch_issued_;
     std::uint32_t pushed = 0;
     for (PushPage& p : work) {
         if (p.cancelled) continue;
@@ -2006,11 +1900,9 @@ std::uint32_t PageOwner::push_workset_pages(ProcessSite& site,
         shard.pending[p.vpn] = p.updated;
         shard.pending_from[p.vpn] = requester;
         shard.lock.unlock();
-        workset_pushed_.inc();
-        k_.node().send(requester,
-                       msg::make_message_prefix(msg::MsgType::kWorksetPush,
-                                                msg::MsgKind::kOneway, p.push,
-                                                wire_bytes(p.push)));
+        issued.inc();
+        k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
+                                                           p.push, wire_bytes(p.push)));
         if (p.local && p.push.exclusive) freed->push_back(p.revoked.paddr);
         ++pushed;
     }
@@ -2080,8 +1972,7 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
         // A fault from an already-declared-dead requester must not park a
         // pending install nobody will ever confirm; the reply dead-letters.
         resp.status = FaultStatus::kSegv;
-    } else if (k_.home_map().sharded() &&
-               home_of(k_.site(req.pid), req.va) != k_.id()) {
+    } else if (home_of(k_.site(req.pid), req.va) != k_.id()) {
         // Stale routing: the requester aimed at a home that has since moved
         // (membership change in flight). Back off and re-route.
         resp.status = FaultStatus::kRetry;
@@ -2105,51 +1996,54 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
 void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultBatchReq>();
     PageFaultBatchResp resp{};
+    ProcessSite* site = nullptr;
     std::vector<mem::Vaddr> grants;
-    const bool workset = req.workset != 0;
+    const bool boosted = req.workset != 0;
     if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
         resp.first.status = FaultStatus::kSegv;
-    } else if (k_.home_map().sharded() &&
-               home_of(k_.site(req.pid), req.va) != k_.id()) {
+    } else if (home_of(k_.site(req.pid), req.va) != k_.id()) {
         resp.first.status = FaultStatus::kRetry;
     } else {
-        ProcessSite& site = k_.site(req.pid);
-        origin_transaction(site, req.va, req.access, req.requester, resp.first);
+        site = &k_.site(req.pid);
+        origin_transaction(*site, req.va, req.access, req.requester, resp.first);
         if (resp.first.status == FaultStatus::kOk) {
             if (k_.node().peer_dead(req.requester)) {
-                abandon_pending(site, req.va, req.requester);
+                abandon_pending(*site, req.va, req.requester);
             } else {
-                grants = claim_prefetch_pages(
-                    site, req.va, req.window, req.requester,
-                    workset ? kMaxWorksetAround : kMaxFaultAround);
+                // The window's tail [va+1, va+window): the requester clipped
+                // it to its replica VMA; claim_pages re-validates each page.
+                const std::uint32_t window =
+                    std::min(req.window, boosted ? kMaxWorksetAround : kMaxFaultAround);
+                std::vector<std::uint64_t> vpns;
+                for (std::uint32_t i = 1; i < window; ++i) {
+                    vpns.push_back(mem::vpn_of(req.va) + i);
+                }
+                grants = claim_pages(*site, vpns, req.requester);
             }
         }
     }
     resp.extra_granted = static_cast<std::uint32_t>(grants.size());
     std::vector<mem::Paddr> freed;
-    if (workset && !grants.empty()) {
-        // Boosted batch (§15): push FIRST, reply last — the inverse of the
-        // streaming order below. The channel is FIFO, so every pushed page
-        // is already dispatched to the requester's leaf pool when the
-        // demand reply unblocks the guest; it resumes into a warm window
-        // instead of re-faulting page by page into busy directory entries
-        // while the pushes are still in flight.
-        push_workset_pages(k_.site(req.pid), grants, req.requester, &freed);
+    // Boosted batch (§15): push FIRST, reply last. The channel is FIFO, so
+    // every pushed page is already dispatched to the requester's leaf pool
+    // when the demand reply unblocks the guest; it resumes into a warm
+    // window instead of re-faulting page by page into busy directory
+    // entries while the pushes are still in flight.
+    if (boosted && !grants.empty()) {
+        push_pages(*site, grants, req.requester, /*owned=*/true, &freed);
     }
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
+    // Streaming fault-around: reply first, so the requester installs the
+    // demand page while the window's replicas are captured behind it.
+    if (!boosted && !grants.empty()) {
+        push_pages(*site, grants, req.requester, /*owned=*/false, &freed);
+    }
     // Frames revoked by ownership pushes go back to the allocator only now:
     // each free sleeps the allocator path, which the requester need not wait
     // for.
     for (const mem::Paddr frame : freed) k_.frames().free(frame);
-    if (!workset) {
-        // Reply went first: the requester installs the demand page while
-        // the pushes are still being generated behind it.
-        for (const mem::Vaddr page : grants) {
-            push_prefetch_page(k_.site(req.pid), page, req.requester);
-        }
-    }
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
@@ -2213,14 +2107,15 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
                                      msg::MsgKind::kReply, resp));
 }
 
-bool PageOwner::install_pushed_page(const PagePushMsg& push,
-                                    topo::KernelId from) {
+void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
+    (void)node;
+    const auto& push = m->payload_prefix_as<PagePushMsg>();
     bool installed = false;
     if (k_.has_site(push.pid)) {
         ProcessSite& site = k_.site(push.pid);
-        // Replica-side VMA lookup: the window was clipped against the
-        // master, but a racing munmap/mprotect may have landed here since —
-        // abandoning rolls the origin's parked transaction back.
+        // Replica-side VMA lookup: the home validated against the master,
+        // but a racing munmap/mprotect may have landed here since —
+        // abandoning rolls the home's parked transaction back.
         mem::Vma vma;
         bool found = false;
         {
@@ -2247,31 +2142,16 @@ bool PageOwner::install_pushed_page(const PagePushMsg& push,
     }
     // ALWAYS confirm — success or not — or the home's busy bit leaks and
     // every later fault on the page hangs.
-    k_.node().send(from,
+    k_.node().send(m->hdr.src,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
                                      PageInstalledMsg{push.pid, push.va, k_.id(),
                                                       installed}));
-    return installed;
-}
-
-void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
-    (void)node;
-    const auto& push = m->payload_prefix_as<PagePushMsg>();
-    if (install_pushed_page(push, m->hdr.src)) {
-        prefetch_hit_.inc();
-    } else {
-        prefetch_wasted_.inc();
-    }
-}
-
-void PageOwner::on_workset_push(msg::Node& node, msg::MessagePtr m) {
-    (void)node;
-    const auto& push = m->payload_prefix_as<PagePushMsg>();
-    if (install_pushed_page(push, m->hdr.src)) {
-        workset_hit_.inc();
-    } else {
-        workset_wasted_.inc();
-    }
+    // Same install either way; the wire type only picks whose accuracy
+    // counters it feeds.
+    const bool workset = m->hdr.type == msg::MsgType::kWorksetPush;
+    trace::Counter& outcome = installed ? (workset ? workset_hit_ : prefetch_hit_)
+                                        : (workset ? workset_wasted_ : prefetch_wasted_);
+    outcome.inc();
 }
 
 void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
@@ -2281,9 +2161,10 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester) &&
         workset_push_ > 0) {
         ProcessSite& site = k_.site(req.pid);
-        const auto grants =
-            claim_workset_pages(site, req.vpn.data(), req.count, req.requester);
-        resp.granted = push_workset_pages(site, grants, req.requester, &freed);
+        // `count` is wire-supplied: never read past the VPN array.
+        const std::uint32_t count = std::min<std::uint32_t>(req.count, task::kMaxWorkset);
+        const auto grants = claim_pages(site, {req.vpn.data(), count}, req.requester);
+        resp.granted = push_pages(site, grants, req.requester, /*owned=*/true, &freed);
     }
     // Reply AFTER the pushes: the channel is FIFO, so by the time the
     // puller's scatter completes every granted kWorksetPush has already

@@ -7,13 +7,15 @@
 // at page granularity across kernels, which is what the hardware gives a
 // thread group on one kernel.
 //
-// Transactions at the origin serialize per page with a busy bit (the shard
-// lock is never held across an await) and re-validate against the site's
-// vma_epoch so racing munmaps cannot resurrect dead pages.
+// Transactions at the page's home serialize per page with a busy bit and
+// re-validate against the site's vma_epoch so racing munmaps cannot
+// resurrect dead pages. The lock and claim order every path obeys is
+// stated once, at the top of page_owner.cpp.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rko/base/stats.hpp"
@@ -39,8 +41,7 @@ public:
     static constexpr std::uint32_t kPrefetchMinRun = 3;
     /// Window cap for a post-migration boosted batch (DESIGN.md §15) —
     /// wider than kMaxFaultAround because the requester just lost its whole
-    /// address space and the home batches the downgrades under one
-    /// shootdown.
+    /// address space.
     static constexpr std::uint32_t kMaxWorksetAround = 32;
     /// How long (virtual ns) after arrival a migrated thread keeps its
     /// post-copy boost: remote read faults batch from the first touch
@@ -51,7 +52,8 @@ public:
 
     /// Registers kPageFault / kPageFaultBatch / kHomeRangeOp / kWorksetPull
     /// (blocking), kPageFetch / kPageInvalidate / kPageInvalidateRange /
-    /// kPagePush / kHomeRebuild / kWorksetPush (leaf).
+    /// kPageInstalled / kHomeRebuild (leaf), and kPagePush + kWorksetPush
+    /// (leaf, one handler: on_page_push).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -166,7 +168,7 @@ public:
     std::uint64_t remote_faults() const { return remote_faults_.value; }
     std::uint64_t invalidations() const { return invalidations_.value; }
     std::uint64_t fetches() const { return fetches_.value; }
-    /// Pages pushed by this (origin) kernel's fault-around transactions.
+    /// Pages pushed by this (home) kernel's streaming fault-around windows.
     std::uint64_t prefetch_issued() const { return prefetch_issued_.value; }
     /// Pushed pages this (requester) kernel installed / failed to install.
     std::uint64_t prefetch_hit() const { return prefetch_hit_.value; }
@@ -233,36 +235,26 @@ private:
         const std::array<std::vector<std::uint64_t>, topo::kMaxKernels>& by_holder,
         InvalidateRangeOp op);
 
-    // Fault-around prefetch (origin side). claim_prefetch_pages try-claims
-    // the busy bits of up to window-1 pages after `first` (skipping absent,
-    // busy, or already-requester-held entries; clipped to the master VMA);
-    // push_prefetch_page then runs one claimed page's read-replication
-    // transaction and ships the bytes as an unsolicited kPagePush.
-    std::vector<mem::Vaddr> claim_prefetch_pages(ProcessSite& site, mem::Vaddr first,
-                                                 std::uint32_t window,
-                                                 topo::KernelId requester,
-                                                 std::uint32_t cap = kMaxFaultAround);
-    void push_prefetch_page(ProcessSite& site, mem::Vaddr page,
-                            topo::KernelId requester);
-
-    // Working-set push (home side, DESIGN.md §15). claim_workset_pages
-    // try-claims an explicit VPN list (same skip rules as the prefetch
-    // claim); push_workset_pages then moves every claimed page to the
-    // requester: Exclusive pages in writable VMAs as OWNED (the old owner is
-    // invalidated with data), the rest as read-only replicas. Home-held
-    // captures share one generation bump and one modeled shootdown, remote
-    // sources answer in one scatter round, and each page ships as
-    // kWorksetPush. Pushes park the ordinary pending state; the
-    // destination's confirms commit them. Frames the home revoked are
+    // The page-push pipeline (home side) — fault-around windows, working-set
+    // pulls and boosted batches all run these two steps. claim_pages
+    // validates each VPN against this home's VMA tree under one ReadGuard
+    // and try-claims the busy bits of the pages it may push (skipping
+    // absent, busy, requester-held and not-homed-here entries). push_pages
+    // then moves every claimed page to the requester: home-held captures
+    // share one generation bump and one modeled shootdown, remote sources
+    // answer in one scatter round, and pushes park the ordinary pending
+    // state for the requester's confirm to commit. With `owned`, an
+    // Exclusive page in a writable VMA moves OWNED (its old holder is
+    // invalidated with data) and ships as kWorksetPush; otherwise every
+    // page ships as a read-only replica (kPagePush), an Exclusive holder
+    // being downgraded like a read fault would. Frames the home revoked are
     // appended to `freed` for the caller to free after its reply.
-    std::vector<mem::Vaddr> claim_workset_pages(ProcessSite& site,
-                                                const std::uint64_t* vpns,
-                                                std::uint32_t count,
-                                                topo::KernelId requester);
-    std::uint32_t push_workset_pages(ProcessSite& site,
-                                     const std::vector<mem::Vaddr>& pages,
-                                     topo::KernelId requester,
-                                     std::vector<mem::Paddr>* freed);
+    std::vector<mem::Vaddr> claim_pages(ProcessSite& site,
+                                        std::span<const std::uint64_t> vpns,
+                                        topo::KernelId requester);
+    std::uint32_t push_pages(ProcessSite& site, const std::vector<mem::Vaddr>& pages,
+                             topo::KernelId requester, bool owned,
+                             std::vector<mem::Paddr>* freed);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
@@ -272,13 +264,10 @@ private:
     void on_page_invalidate(msg::Node& node, msg::MessagePtr m);
     void on_page_invalidate_range(msg::Node& node, msg::MessagePtr m);
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
+    /// kPagePush and kWorksetPush: install the pushed page, ALWAYS confirm,
+    /// and count the outcome under the wire type's hit/wasted pair.
     void on_page_push(msg::Node& node, msg::MessagePtr m);
     void on_workset_pull(msg::Node& node, msg::MessagePtr m);
-    void on_workset_push(msg::Node& node, msg::MessagePtr m);
-
-    /// Shared tail of on_page_push / on_workset_push: install the pushed
-    /// page and ALWAYS confirm. Returns whether the install stuck.
-    bool install_pushed_page(const PagePushMsg& push, topo::KernelId from);
 
     kernel::Kernel& k_;
     bool read_replication_ = true;

@@ -148,7 +148,7 @@ struct PageInvalidateRangeResp {
 
 /// A remote read fault upgraded by the stride detector: service `va`
 /// exactly like kPageFault, then opportunistically push up to window-1
-/// following pages (kPagePush) whose transactions can start immediately.
+/// following pages (kPagePush) whose busy bits can be claimed immediately.
 struct PageFaultBatchReq {
     Pid pid;
     mem::Vaddr va;        ///< the faulting page
@@ -157,16 +157,18 @@ struct PageFaultBatchReq {
     std::uint32_t window; ///< total pages including the faulting one, >= 2
     /// Nonzero: the requester is in its post-migration boost window
     /// (DESIGN.md §15). The home may grant past kMaxFaultAround (up to
-    /// kMaxWorksetAround) and batches its local downgrades under one
-    /// shootdown. Occupies what was a padding hole, so the wire size (and
-    /// the modeled copy cost of every existing batch fault) is unchanged.
+    /// kMaxWorksetAround), moves the window owned (kWorksetPush) and
+    /// pushes before it replies. Occupies what was a padding hole, so the
+    /// wire size (and the modeled copy cost of every existing batch fault)
+    /// is unchanged.
     std::uint32_t workset;
 };
 static_assert(sizeof(PageFaultBatchReq) == 32,
               "workset flag must fill the padding hole");
 
-/// The faulting page's result plus how many pushes follow it down the
-/// origin->requester channel. The data array sits last (inside `first`) so
+/// The faulting page's result plus how many pushes share the
+/// home->requester channel with it (after it when streaming, before it
+/// when boosted). The data array sits last (inside `first`) so
 /// dataless outcomes truncate like a plain PageFaultResp.
 struct PageFaultBatchResp {
     std::uint32_t extra_granted;
@@ -348,10 +350,10 @@ struct MigrateResp {
 
 /// Destination -> home (kWorksetPull, blocking): after a migrated thread
 /// resumes, it asks each home for the shipped hot pages that home serves.
-/// The home try-claims what it can (absent/busy/already-held pages are
-/// skipped, never waited on — the prefetch deadlock discipline), replies
-/// with the granted count, then pushes each page as kWorksetPush. Truncated
-/// on the wire to the VPNs actually carried.
+/// The home try-claims what it can (the claim order at the top of
+/// core/page_owner.cpp), pushes each granted page as kWorksetPush, then
+/// replies with the granted count. Truncated on the wire to the VPNs
+/// actually carried.
 struct WorksetPullReq {
     Pid pid;
     topo::KernelId requester;

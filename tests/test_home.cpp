@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "rko/api/machine.hpp"
+#include "rko/check/invariants.hpp"
 #include "rko/home/home.hpp"
 
 namespace rko::api {
@@ -353,6 +354,73 @@ TEST(Home, DrainingAShardOwnerPreservesDataAndRehomes) {
         EXPECT_EQ(seen[static_cast<std::size_t>(p)],
                   static_cast<std::uint32_t>(0x100 + p))
             << "page " << p << " lost its data across the drain";
+    }
+}
+
+
+// Regression: a drain parts as soon as its directory slice looks idle, but
+// a fault already parked on one of the slice's busy bits wakes after that.
+// It used to run its transaction at the old home anyway — racing the
+// successor's PTE census, so a write granted there left a copy the rebuilt
+// directory never named (pages.pte_not_in_holders, then lost increments).
+// It must answer kRetry and re-route instead. Ten writers hammer one page
+// from four kernels (two hot-joined mid-run) while k1, a home, drains; the
+// seeds are ones whose schedules land a parked fault in that window.
+TEST(Home, DrainRetriesFaultsParkedOnItsSlice) {
+    constexpr int kWriters = 10;
+    constexpr int kRounds = 10;
+    for (const std::uint64_t seed : {6ULL, 22ULL, 30ULL, 163ULL}) {
+        MachineConfig config = failover_config(4);
+        config.check = false; // audited explicitly below, with the seed
+        config.seed = seed;
+        config.shuffle_ties = true;
+        config.fabric.delivery_jitter = 2'000;
+        config.fabric.jitter_seed = seed;
+        config.balance.migration_budget = 8;
+        config.elastic.deferred_mask = topo::kbit(2) | topo::kbit(3);
+        Machine machine(config);
+        auto& process = machine.create_process(0);
+        Vaddr buf = 0;
+        auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPageSize); }, 0);
+        for (int i = 0; i < kWriters; ++i) {
+            process.spawn(
+                [&, i](Guest& g) {
+                    g.join(init);
+                    const Vaddr slot = buf + static_cast<Vaddr>(i) * 8;
+                    for (int r = 0; r < kRounds; ++r) {
+                        g.rmw_u32(slot, [](std::uint32_t v) { return v + 1; });
+                        g.compute(60_us);
+                    }
+                },
+                static_cast<topo::KernelId>(i % 2));
+        }
+        machine.run_until(100_us);
+        machine.join_kernel(2);
+        machine.run_until(200_us);
+        machine.join_kernel(3);
+        machine.run_until(400_us);
+        machine.drain_kernel(1);
+        machine.run();
+        process.check_all_joined();
+        const check::Report report = check::run_all(machine);
+        EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.to_string();
+
+        std::vector<std::uint32_t> slots(kWriters, 0);
+        process.spawn(
+            [&](Guest& g) {
+                for (int i = 0; i < kWriters; ++i) {
+                    slots[static_cast<std::size_t>(i)] =
+                        g.read<std::uint32_t>(buf + static_cast<Vaddr>(i) * 8);
+                }
+            },
+            0);
+        machine.run();
+        process.check_all_joined();
+        for (int i = 0; i < kWriters; ++i) {
+            EXPECT_EQ(slots[static_cast<std::size_t>(i)],
+                      static_cast<std::uint32_t>(kRounds))
+                << "seed " << seed << " slot " << i;
+        }
     }
 }
 

@@ -507,19 +507,28 @@ TEST(WorksetMigration, RequesterKillDuringOwnershipPullKeepsSurrenderedPages) {
 
 // --- Pushes racing a destination kill fail cleanly ---------------------------
 
-// A writer dirties 8 pages at the origin, migrates to k2 with workset push
-// enabled, and k2 is killed at a sweep of virtual times spanning the
+// A writer dirties 8 pages at the origin right before migrating to k2, so
+// the tracker still ranks them hot and the pull really ships some. The
+// buffer is made read-only first: replica pushes leave the origin a Shared
+// holder, whereas owned pages would die with the destination (DESIGN.md
+// §15, Failures). k2 is killed at a sweep of virtual times spanning the
 // migration, the pull round, and the in-flight pushes. Every timing must
 // quiesce cleanly (leaked directory busy bits would hang the reader's
-// faults forever) and the origin's copies — downgraded to Shared by the
-// capture — must survive with their data intact.
+// faults forever) and the origin's copies must survive with their data
+// intact.
 TEST(WorksetMigration, PushToKilledDestinationFailsCleanly) {
     constexpr int kPages = 8;
     // The migration is delayed past lease warm-up: an idle kernel's balancer
     // parks at boot without ever gossiping, and a peer never heard from has
-    // no lease to expire — so k2 runs a short task first to announce itself,
-    // and the kill sweep brackets the migrate + pull window around t=220us.
-    for (const Nanos kill_at : {210_us, 222_us, 228_us, 240_us, 300_us}) {
+    // no lease to expire — so k2 runs a short task first to announce itself.
+    // The writes end at ~216us and the mprotect at ~223us; the sweep then
+    // brackets the checkpoint, the transfer, the pull (served at k0 from
+    // ~241us) and the pushes. A kill mid-mprotect (218us) stalls its replica
+    // broadcast until k2 is declared dead, so the migration is refused
+    // before the checkpoint and the writer resumes on its own core.
+    constexpr Nanos kPullServed = 241_us;
+    for (const Nanos kill_at :
+         {218_us, 224_us, 230_us, 238_us, 241_us, 244_us, 250_us, 300_us}) {
         MachineConfig config = smp::popcorn_config(8, 4);
         config.workset_push = 32;
         config.frames_per_kernel = 4096;
@@ -536,11 +545,12 @@ TEST(WorksetMigration, PushToKilledDestinationFailsCleanly) {
         process.spawn(
             [&](Guest& g) {
                 buf = g.mmap(kPages * kPageSize);
+                g.compute(200_us); // let the lease/gossip machinery warm up
                 for (int p = 0; p < kPages; ++p) {
                     g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
                                            0x2000u + static_cast<std::uint64_t>(p));
                 }
-                g.compute(200_us); // let the lease/gossip machinery warm up
+                g.mprotect(buf, kPages * kPageSize, mem::kProtRead);
                 g.migrate(2);
                 g.compute(500_us);
             },
@@ -556,9 +566,15 @@ TEST(WorksetMigration, PushToKilledDestinationFailsCleanly) {
         machine.run();
         process.check_all_joined();
         EXPECT_TRUE(machine.is_killed(2)) << "kill_at=" << kill_at;
+        if (kill_at >= kPullServed && config.home_shards == 1) {
+            // Not vacuous: the home k0 served the pull before the axe fell.
+            // (The window above is measured with k0 as the only home.)
+            EXPECT_GT(machine.kernel(0).pages().workset_pushed(), 0u)
+                << "kill_at=" << kill_at;
+        }
 
-        // The origin kernel survived with every byte (the capture left it a
-        // Shared holder): a reader re-faulting the whole buffer completing
+        // The origin kernel survived with every byte (it stayed a Shared
+        // holder): a reader re-faulting the whole buffer completing
         // at all proves no directory busy bit leaked from a dead-lettered
         // push, and the values prove no data was lost with the corpse.
         std::uint64_t sum = 0;

@@ -478,6 +478,80 @@ TEST(Prefetch, StopsAtVmaBoundary) {
     }
 }
 
+TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
+    RKO_SKIP_IF_SHARDED();
+    // A writer on k2 dirties a region homed at k0, so every window page is
+    // Exclusive at a REMOTE source. Each serviced batch must fetch its
+    // window in one scatter round (downgrading k2 like a read fault would),
+    // never page by page in serial round trips.
+    constexpr int kPages = 16;
+    Machine machine([] {
+        auto config = smp::popcorn_config(6, 3);
+        config.prefetch_window = 8;
+        return config;
+    }());
+    auto& process = machine.create_process(0);
+    const Pid pid = process.pid();
+    msg::Node& home = machine.kernel(0).node();
+    Vaddr buf = 0;
+    auto& writer = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int i = 0; i < kPages; ++i) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize,
+                                       0x900u + static_cast<std::uint64_t>(i));
+            }
+        },
+        2);
+    std::uint64_t batches = 0, scatters = 0, posts = 0, fetches = 0;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            const std::uint64_t batches0 = home.dispatched(msg::MsgType::kPageFaultBatch);
+            const std::uint64_t scatters0 = home.scatter_batches();
+            const std::uint64_t posts0 = home.scatter_posts();
+            const std::uint64_t fetches0 = machine.kernel(0).pages().fetches();
+            for (int i = 0; i < kPages; ++i) {
+                EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize),
+                          0x900u + static_cast<std::uint64_t>(i))
+                    << "page " << i;
+                // Let each window's pushes land before the next touch, so no
+                // demand fault races an in-flight push and every batch the
+                // home services has pages to claim.
+                g.compute(20_us);
+            }
+            batches = home.dispatched(msg::MsgType::kPageFaultBatch) - batches0;
+            scatters = home.scatter_batches() - scatters0;
+            posts = home.scatter_posts() - posts0;
+            fetches = machine.kernel(0).pages().fetches() - fetches0;
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+
+    const std::uint64_t issued = machine.kernel(0).pages().prefetch_issued();
+    ASSERT_GT(batches, 0u);
+    ASSERT_GT(issued, 0u);
+    EXPECT_EQ(machine.kernel(1).pages().prefetch_hit(), issued);
+    // One scatter per serviced batch, carrying every pushed page's fetch;
+    // the only serial fetches left are the demand faults' own.
+    EXPECT_EQ(scatters, batches);
+    EXPECT_EQ(posts, issued);
+    EXPECT_EQ(fetches - posts + issued, static_cast<std::uint64_t>(kPages));
+    for (int i = 0; i < kPages; ++i) {
+        const Vaddr va = buf + static_cast<Vaddr>(i) * kPageSize;
+        const std::uint64_t vpn = mem::vpn_of(va);
+        const auto& shard = machine.kernel(0).site(pid).dir_shard(vpn);
+        const auto it = shard.entries.find(vpn);
+        ASSERT_NE(it, shard.entries.end()) << "page " << i;
+        EXPECT_EQ(it->second.state, core::PageDirEntry::State::kShared) << "page " << i;
+        EXPECT_EQ(it->second.sharers, topo::kbit(1) | topo::kbit(2)) << "page " << i;
+        const mem::Pte* pte = machine.kernel(2).site(pid).space().page_table().find(va);
+        ASSERT_TRUE(pte != nullptr && pte->present) << "page " << i;
+        EXPECT_EQ(pte->prot & mem::kProtWrite, 0u) << "k2 still writable at page " << i;
+    }
+}
+
 TEST(Prefetch, SurvivesMunmapRace) {
     // The origin unmaps the tail of the stream while pushes for it may be
     // in flight: pushed pages whose VMA vanished must be dropped (counted

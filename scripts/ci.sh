@@ -9,8 +9,11 @@
 #                later stages trustworthy
 #   3. race:     the suite again with RKO_RACE=1 RKO_CHECK=1 (lockset /
 #                lock-order / await-atomicity detector armed; a finding
-#                fails the run via the "race" invariant family), plus a
-#                race-armed explore sweep over every scenario
+#                fails the run via the "race" invariant family), plus
+#                race-armed explore sweeps over every scenario at both
+#                shard settings: the one-shard home map (10 seeds) and
+#                4-way sharded homes (RKO_HOME_SHARDS=4, 5 seeds) — both
+#                run the same protocol code, at different map shapes
 #   4. lint:     scripts/lint.sh (self-test + lint_rko.py + clang-tidy if
 #                installed)
 #   5. asan/tsan: scripts/check.sh (ASan+UBSan tree, then TSan tree)
@@ -55,6 +58,8 @@ RKO_RACE=1 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail race "RKO_RACE=1 RKO_CHECK=1 ctest --test-dir build --output-on-failure"
 RKO_CHECK=1 ./build/tools/rko_explore --race --seeds 10 \
   || fail race "RKO_CHECK=1 ./build/tools/rko_explore --race --seeds 10"
+RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --race --seeds 5 \
+  || fail race "RKO_HOME_SHARDS=4 RKO_CHECK=1 ./build/tools/rko_explore --race --seeds 5"
 
 echo "=== ci.sh stage 4/7: lint ==="
 scripts/lint.sh || fail lint "scripts/lint.sh"

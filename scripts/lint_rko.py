@@ -40,9 +40,14 @@ a few idiom rules:
   hard-coded-origin  comparing an origin to the literal kernel 0 (or
                    passing 0 as an ensure_site origin) in src/ — since
                    sharded homes (rko/home), directory state lives at
-                   home::home_of(...), any kernel can be a process's
-                   origin, and "kernel 0" is never special; route through
-                   site.origin() / home_of instead
+                   the home map's home_of(...), any kernel can be a
+                   process's origin, and "kernel 0" is never special; route
+                   through site.origin() / home_of instead
+  home-fork        a .sharded( (or ->sharded() call in src/ outside
+                   src/rko/home/ — the home map answers every "who homes
+                   this" question at any shard count (one shard is the
+                   degenerate map, not a branch); ask it (home_of / homes /
+                   may_home) instead of forking
 
 Comment/string handling is a real scanner, not per-line regex: block
 comments may span lines and string literals may contain `//` or banned
@@ -104,15 +109,23 @@ HARD_ORIGIN = [
     ("hard-coded-origin",
      re.compile(r"\borigin(?:_\b|\(\s*\))?\s*[=!]=\s*0\b(?!\.)"),
      "origin compared to literal kernel 0 (use site.is_origin() / "
-     "home::home_of — any kernel can be an origin or a home)"),
+     "home_map().home_of — any kernel can be an origin or a home)"),
     ("hard-coded-origin",
      re.compile(r"(?<![\w.])0\s*[=!]=\s*origin(?:_\b|\(\s*\))?"),
      "origin compared to literal kernel 0 (use site.is_origin() / "
-     "home::home_of — any kernel can be an origin or a home)"),
+     "home_map().home_of — any kernel can be an origin or a home)"),
     ("hard-coded-origin",
      re.compile(r"\bensure_site\s*\([^,()]+,\s*0\s*\)"),
      "ensure_site with a literal origin 0 (pass the real origin — any "
      "kernel can create a process)"),
+]
+# The home map is the one place that knows how many shards there are: a
+# protocol path outside it that branches on the shard count grows back the
+# second (one-shard) protocol the map exists to fold away.
+HOME_FORK = [
+    ("home-fork", re.compile(r"(\.|->)sharded\s*\("),
+     "shard-count fork outside rko/home (ask the home map — home_of / "
+     "homes / may_home — which answers for every shard count)"),
 ]
 
 # A guard object constructed without a name is a temporary: it locks and
@@ -161,6 +174,10 @@ def in_sim_layer(path):
 
 def in_base_layer(path):
     return f"src{os.sep}rko{os.sep}base{os.sep}" in path
+
+
+def in_home_layer(path):
+    return f"src{os.sep}rko{os.sep}home{os.sep}" in path
 
 
 def in_core_layer(path):
@@ -265,6 +282,8 @@ def applicable_rules(path):
             rules += HOST_RANDOM
     if in_src_tree(path):
         rules += HARD_ORIGIN
+        if not in_home_layer(path):
+            rules += HOME_FORK
     return rules
 
 
@@ -582,7 +601,7 @@ SELF_TEST_CASES = [
      "src/rko/core/r.cpp",
      """void f(core::ProcessSite& site) {
          if (site.is_origin()) fast_path();
-         const auto home = home::home_of(map, pid, site.origin(), vpn);
+         const auto home = map.home_of(pid, site.origin(), vpn);
          k.ensure_site(pid, site.origin());
          if (origin_count == 0) idle();
      }
@@ -592,6 +611,22 @@ SELF_TEST_CASES = [
      "tests/test_q.cpp",
      """void f() {
          if (origin == 0) spawn_here();
+     }
+     """,
+     []),
+    ("shard-count fork outside rko/home flagged",
+     "src/rko/core/t.cpp",
+     """void f(core::ProcessSite& site) {
+         if (k_.home_map().sharded()) fan_out();
+         if (!map.sharded ()) return;
+         if (kernel->home_map().sharded()) sweep();
+     }
+     """,
+     ["home-fork", "home-fork", "home-fork"]),
+    ("the home map itself may branch on its shard count",
+     "src/rko/home/home.hpp",
+     """topo::KernelMask homes(const Map& map, topo::KernelId origin) {
+         return map.sharded() ? map.eligible() : topo::kbit(origin);
      }
      """,
      []),

@@ -215,17 +215,15 @@ Process& Machine::create_process(topo::KernelId origin) {
     // Home the process: master site + empty thread group at the origin.
     k.ensure_site(pid, origin);
     k.site(pid).group().replica_mask |= topo::kbit(origin);
-    // With sharded homes, every eligible kernel may own directory shards
-    // for this process, so it needs a site (directory storage + VMA
-    // replica) and a slot in the replica mask (so destructive-op
-    // broadcasts reach it) from birth.
-    if (k.home_map().sharded()) {
-        for (topo::KernelMask m = k.home_map().eligible(); m != 0; m &= m - 1) {
-            const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
-            if (h == origin) continue;
-            kernel(h).ensure_site(pid, origin);
-            k.site(pid).group().replica_mask |= topo::kbit(h);
-        }
+    // Every other home the map names (none with one shard) may own
+    // directory shards for this process, so it needs a site (directory
+    // storage + VMA replica) and a slot in the replica mask (so
+    // destructive-op broadcasts reach it) from birth.
+    const topo::KernelMask homes = k.home_map().homes(origin) & ~topo::kbit(origin);
+    for (topo::KernelMask m = homes; m != 0; m &= m - 1) {
+        const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
+        kernel(h).ensure_site(pid, origin);
+        k.site(pid).group().replica_mask |= topo::kbit(h);
     }
     processes_.push_back(std::make_unique<Process>(*this, pid, origin));
     return *processes_.back();

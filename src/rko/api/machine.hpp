@@ -66,9 +66,11 @@ struct MachineConfig {
     /// directory entries spread over this many shards, rendezvous-hashed
     /// across the live kernels, with the VMA tree replicated (epoch-
     /// invalidated) so non-origin homes can validate faults locally. The
-    /// default 1 keeps every entry at the origin — wire protocol and
-    /// timings bit-identical to the pre-home system. Defaults to the
-    /// RKO_HOME_SHARDS environment variable when set.
+    /// default 1 is the one-shard home map: every entry stays at the
+    /// origin, as in the paper, and every protocol path runs the same code
+    /// as with more shards. Defaults to the RKO_HOME_SHARDS environment
+    /// variable when set (a whole positive integer; anything else is
+    /// fatal).
     int home_shards = home::shards_from_env();
     /// Working-set migration (DESIGN.md §15): a migrating thread's
     /// checkpoint piggybacks up to this many of its hottest page numbers;

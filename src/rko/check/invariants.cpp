@@ -239,7 +239,7 @@ void check_pages(api::Machine& m, Report& r) {
         }
         if (origin < 0) continue; // groups checker reports the missing origin
         const topo::KernelId home =
-            home::home_of(m.kernel(origin).home_map(), p.pid, origin, vpn);
+            m.kernel(origin).home_map().home_of(p.pid, origin, vpn);
         if (home < 0 || home >= m.nkernels() || !m.kernel(home).has_site(p.pid)) {
             continue; // home family reports map/site damage
         }
@@ -800,7 +800,7 @@ void check_home(api::Machine& m, Report& r) {
                         continue;
                     }
                     const topo::KernelId want =
-                        home::home_of(map, site.pid(), oit->second, vpn);
+                        map.home_of(site.pid(), oit->second, vpn);
                     if (want != k) {
                         r.fail("home.entry_misplaced",
                                fmt("pid=%lld vpn=%llx entry lives at k%d but the "

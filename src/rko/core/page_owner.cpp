@@ -109,8 +109,17 @@ PageOwner::PageOwner(kernel::Kernel& k)
       remote_latency_(k.metrics().histogram("pages.remote_fault_ns")) {}
 
 topo::KernelId PageOwner::home_of(ProcessSite& site, mem::Vaddr page) const {
-    return home::home_of(k_.home_map(), site.pid(), site.origin(),
-                         mem::vpn_of(page));
+    return k_.home_map().home_of(site.pid(), site.origin(), mem::vpn_of(page));
+}
+
+bool PageOwner::may_home(ProcessSite& site) const {
+    return k_.home_map().may_home(k_.id(), site.origin());
+}
+
+void PageOwner::await_home_rebuilds(ProcessSite& site) {
+    for (int s = 0; s < k_.home_map().shards(); ++s) {
+        while (site.home_rebuilding(s)) k_.engine().current().sleep_for(1000);
+    }
 }
 
 void PageOwner::install() {
@@ -224,7 +233,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                                           PageFaultResp& out) {
     // With sharded homes the transaction runs at the page's home kernel,
     // which is the origin only for the shards it happens to own.
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     home_msgs_.inc();
     const std::uint64_t vpn = mem::vpn_of(page);
     const bool want_write = (access & mem::kProtWrite) != 0;
@@ -233,8 +242,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
     const bool take_exclusive = want_write || !read_replication_;
 
     for (int attempt = 0; attempt < 64; ++attempt) {
-        if (k_.home_map().sharded() &&
-            site.home_rebuilding(k_.home_map().shard_of(vpn))) {
+        if (site.home_rebuilding(k_.home_map().shard_of(vpn))) {
             // This shard just failed over to us and its census is still
             // being pulled; the requester backs off and refaults.
             out.status = FaultStatus::kRetry;
@@ -666,8 +674,8 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
         t->workset_touch(mem::vpn_of(page));
     };
     PageFaultResp resp{};
-    // Route by the page's HOME — the origin when unsharded (bit-identical
-    // to the pre-home protocol), else the home map's owner of its shard.
+    // Route by the page's HOME — the origin with one shard, else the home
+    // map's owner of the page's shard.
     const topo::KernelId home = home_of(site, page);
     if (home == k_.id()) {
         local_faults_.inc();
@@ -748,9 +756,9 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     }
     remote_latency_.add(k_.engine().now() - t0);
     if (reply == nullptr) {
-        // The home died mid-fault (impossible unsharded: the origin is
-        // immortal). Refault — by the time the MMU retries, the membership
-        // update has re-homed the shard and the route recomputes.
+        // The home died mid-fault (never the immortal origin). Refault — by
+        // the time the MMU retries, the membership update has re-homed the
+        // shard and the route recomputes.
         return mem::Mmu::FaultResult::kFixed;
     }
     const PageFaultResp& fault_resp =
@@ -927,7 +935,7 @@ std::uint32_t PageOwner::scatter_ranged(
 
 std::uint32_t PageOwner::revoke_range(ProcessSite& site, mem::Vaddr start,
                                       mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     const std::uint64_t vpn_lo = mem::vpn_of(start);
     const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
 
@@ -990,7 +998,7 @@ std::uint32_t PageOwner::revoke_range(ProcessSite& site, mem::Vaddr start,
 
 std::uint32_t PageOwner::downgrade_range(ProcessSite& site, mem::Vaddr start,
                                          mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     const std::uint64_t vpn_lo = mem::vpn_of(start);
     const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
 
@@ -1042,7 +1050,7 @@ std::uint32_t PageOwner::downgrade_range(ProcessSite& site, mem::Vaddr start,
 
 std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
                                          mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     const std::uint64_t vpn_lo = mem::vpn_of(start);
     const std::uint64_t vpn_hi = mem::vpn_of(mem::page_ceil(end));
 
@@ -1170,20 +1178,16 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
 
 std::uint32_t PageOwner::home_range_fanout(ProcessSite& site, HomeRangeKind kind,
                                            mem::Vaddr start, mem::Vaddr end) {
-    RKO_ASSERT(site.is_origin() && k_.home_map().sharded());
+    RKO_ASSERT(site.is_origin());
     // Wait out a census rebuild of any shard we just inherited (elastic):
     // sweeping mid-rebuild would miss the entries the census is about to
     // install, and the holders they name would keep PTEs in the dead range.
     // The rebuilder never takes the vma_op_lock our caller holds.
-    for (int s = 0; s < k_.home_map().shards(); ++s) {
-        while (site.home_rebuilding(s)) {
-            k_.engine().current().sleep_for(1000);
-        }
-    }
-    // Local slice first (the origin always owns some shards), then one
-    // kHomeRangeOp per other eligible home — their sweeps run concurrently
-    // under rpc_scatter. The replica broadcast already completed, so no
-    // kernel can validate a new fault in the range while these run.
+    await_home_rebuilds(site);
+    // Local slice first, then one kHomeRangeOp per other home the map
+    // names — their sweeps run concurrently under rpc_scatter. The replica
+    // broadcast already completed, so no kernel can validate a new fault
+    // in the range while these run.
     std::uint32_t touched = 0;
     switch (kind) {
     case HomeRangeKind::kRevoke:
@@ -1197,9 +1201,10 @@ std::uint32_t PageOwner::home_range_fanout(ProcessSite& site, HomeRangeKind kind
         break;
     }
     std::vector<msg::Node::ScatterItem> posts;
-    for (topo::KernelMask m = k_.home_map().eligible(); m != 0; m &= m - 1) {
+    const topo::KernelMask homes = k_.home_map().homes(site.origin());
+    for (topo::KernelMask m = homes & ~topo::kbit(k_.id()); m != 0; m &= m - 1) {
         const auto h = static_cast<topo::KernelId>(std::countr_zero(m));
-        if (h == k_.id() || k_.node().peer_dead(h)) continue;
+        if (k_.node().peer_dead(h)) continue;
         posts.push_back(
             {h, msg::make_message(msg::MsgType::kHomeRangeOp, msg::MsgKind::kRequest,
                                   HomeRangeOpReq{site.pid(), kind, start, end})});
@@ -1223,11 +1228,7 @@ void PageOwner::on_home_range_op(msg::Node& node, msg::MessagePtr m) {
         // (elastic): sweeping mid-rebuild finds no entries — the census
         // installs them right after, and the origin's post-munmap audit
         // would then see holders that were never invalidated.
-        for (int s = 0; s < k_.home_map().shards(); ++s) {
-            while (site.home_rebuilding(s)) {
-                k_.engine().current().sleep_for(1000);
-            }
-        }
+        await_home_rebuilds(site);
         // The origin holds ITS vma_op_lock across the whole destructive op;
         // this guards the LOCAL slice against a concurrent local sweep
         // (drain eviction). Lock order is strictly origin -> home, so the
@@ -1252,7 +1253,7 @@ void PageOwner::on_home_range_op(msg::Node& node, msg::MessagePtr m) {
 void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<HomeRebuildReq>();
     HomeRebuildResp resp{};
-    if (!k_.has_site(req.pid) || !k_.home_map().sharded()) {
+    if (!k_.has_site(req.pid)) {
         resp.ready = 1; // nothing here to census: trivially complete
     } else {
         ProcessSite& site = k_.site(req.pid);
@@ -1261,11 +1262,11 @@ void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
         // recomputed from OUR map; if we have not applied the membership
         // event yet the validation fails and ready stays 0 — the rebuilder
         // backs off and retries rather than losing our PTEs from the census.
-        const topo::KernelMask before = k_.home_map().eligible() | topo::kbit(req.dead);
-        const auto old_owner = home::Map::owner_in(site.pid(),
-                                                   static_cast<int>(req.shard), before);
-        const auto new_owner = k_.home_map().owner_of(site.pid(),
-                                                      static_cast<int>(req.shard));
+        const home::Map& map = k_.home_map();
+        const int shard = static_cast<int>(req.shard);
+        const auto old_owner = map.owner_among(site.pid(), site.origin(), shard,
+                                               map.eligible() | topo::kbit(req.dead));
+        const auto new_owner = map.owner_of(site.pid(), site.origin(), shard);
         if (old_owner == req.dead && new_owner == m->hdr.src) {
             resp.ready = 1;
             std::vector<std::uint64_t> words;
@@ -1274,9 +1275,7 @@ void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
                 [&](mem::Vaddr va, mem::Pte& pte) {
                     const std::uint64_t vpn = mem::vpn_of(va);
                     if (vpn < req.resume_vpn) return;
-                    if (k_.home_map().shard_of(vpn) != static_cast<int>(req.shard)) {
-                        return;
-                    }
+                    if (map.shard_of(vpn) != shard) return;
                     const std::uint64_t writable =
                         (pte.prot & mem::kProtWrite) != 0 ? 1 : 0;
                     words.push_back((vpn << 1) | writable);
@@ -1299,7 +1298,7 @@ void PageOwner::on_home_rebuild(msg::Node& node, msg::MessagePtr m) {
 
 std::uint32_t PageOwner::rebuild_home_shard(ProcessSite& site, int shard,
                                             topo::KernelId dead) {
-    RKO_ASSERT(k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     // Pull each live peer's census for this (pid, shard) and merge: a
     // writable PTE means its kernel owned the page Exclusive; read-only
     // PTEs accumulate into a Shared holder mask. The shard is flagged
@@ -1393,7 +1392,7 @@ std::uint32_t PageOwner::rebuild_home_shard(ProcessSite& site, int shard,
 
 std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site,
                                                                topo::KernelId dead) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     std::uint32_t rehomed = 0;
     std::uint32_t lost = 0;
     for (auto& shard : site.dir_shards()) {
@@ -1448,8 +1447,11 @@ std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site
 }
 
 std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) {
-    RKO_ASSERT(site.is_origin() || k_.home_map().sharded());
+    RKO_ASSERT(may_home(site));
     RKO_ASSERT(holder != k_.id());
+    // Like the range sweeps, never sweep a slice mid-rebuild: the census
+    // installs entries naming the holder right after.
+    await_home_rebuilds(site);
     // A claim-all path like the destructive ranged ops (rule 5).
     WriteGuard op_guard(site.vma_op_lock());
 
@@ -1767,9 +1769,9 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
             if (!p.local) continue;
             const mem::Pte* pte = site.space().page_table().find(p.page);
             if (pte == nullptr || !pte->present) {
-                // Our copy is gone despite the directory: a sharded home's
-                // munmap replica sweep is not gated on the busy bit. The
-                // sweep's directory half erases the entry after we let go.
+                // Our copy is gone despite the directory: munmap's replica
+                // broadcast precedes the directory sweep and is not gated
+                // on the busy bit. The sweep erases the entry later.
                 p.cancelled = true;
                 continue;
             }

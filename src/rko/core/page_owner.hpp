@@ -104,22 +104,22 @@ public:
     /// host pointer to the local frame, or null if unmapped/SEGV.
     std::byte* ensure_readable(ProcessSite& site, mem::Vaddr page);
 
-    /// Origin-side munmap support: invalidates every copy of every page in
-    /// [start, end) machine-wide and erases the directory entries (the data
-    /// is dead). Returns pages revoked. Caller holds the vma_op_lock.
+    /// Home-side munmap support: invalidates every copy of every page in
+    /// [start, end) this slice names and erases the entries (the data is
+    /// dead). Returns pages revoked. Caller holds the vma_op_lock.
     std::uint32_t revoke_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
 
-    /// Origin-side mprotect support when write permission is removed:
+    /// Home-side mprotect support when write permission is removed:
     /// strips the write bit from every holder's PTE and demotes Exclusive
     /// entries to Shared. Data is preserved in place.
     std::uint32_t downgrade_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
 
-    /// Origin-side mprotect support for PROT_NONE: pulls every page's bytes
+    /// Home-side mprotect support for PROT_NONE: pulls every page's bytes
     /// home to an origin frame mapped with no access, so the data survives
     /// a later mprotect back to accessibility.
     std::uint32_t sequester_range(ProcessSite& site, mem::Vaddr start, mem::Vaddr end);
 
-    // --- Elastic membership hooks (rko/elastic; origin-side) ---
+    // --- Elastic membership hooks (rko/elastic; home-side) ---
 
     /// Strips a DEAD kernel from every directory entry (its leases expired;
     /// no messages — the corpse cannot answer). Surviving sharers keep the
@@ -138,16 +138,18 @@ public:
     /// safe against concurrent faults. Returns entries stripped.
     std::uint32_t evict_holder(ProcessSite& site, topo::KernelId holder);
 
-    // --- Sharded homes (rko/home; only active with home_shards > 1) ---
+    // --- Directory homes (rko/home) ---
 
-    /// The kernel homing `page`'s directory entry: the origin when
-    /// unsharded, else the home map's rendezvous owner of the page's shard.
+    /// The kernel homing `page`'s directory entry, as the home map names
+    /// it: the origin with one shard, else the owner of the page's shard.
     topo::KernelId home_of(ProcessSite& site, mem::Vaddr page) const;
+    /// Whether this kernel may hold a slice of `site`'s directory.
+    bool may_home(ProcessSite& site) const;
 
     /// Destructive-op fan-out (origin side, vma_op_lock held, AFTER the
     /// replica broadcast): runs the matching ranged sweep on the local
-    /// directory slice and scatters kHomeRangeOp to every other eligible
-    /// home. Returns total entries swept machine-wide.
+    /// directory slice and scatters kHomeRangeOp to every other home the
+    /// map names (none with one shard). Returns total entries swept.
     std::uint32_t home_range_fanout(ProcessSite& site, HomeRangeKind kind,
                                     mem::Vaddr start, mem::Vaddr end);
 
@@ -259,6 +261,8 @@ private:
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
     void on_home_rebuild(msg::Node& node, msg::MessagePtr m);
+    /// Parks until no home shard of `site` is mid census rebuild (elastic).
+    void await_home_rebuilds(ProcessSite& site);
     void on_page_fault_batch(msg::Node& node, msg::MessagePtr m);
     void on_page_fetch(msg::Node& node, msg::MessagePtr m);
     void on_page_invalidate(msg::Node& node, msg::MessagePtr m);

@@ -188,30 +188,20 @@ std::int64_t VmaServer::origin_destructive(ProcessSite& site, VmaOp op,
     // inaccessible origin frames, and *adding* permissions needs no page
     // action at all (wider access simply faults in under the new VMA).
     //
-    // Ordering differs by home configuration. Unsharded (the pre-home
-    // protocol, kept verbatim): sweep the origin-resident directory, then
-    // broadcast. Sharded: broadcast FIRST — once every replica has erased
-    // the range (and bumped its epoch), no kernel can validate a new fault
-    // in it, so the per-home kHomeRangeOp sweeps that follow converge
-    // without chasing freshly-born entries.
-    if (!k_.home_map().sharded()) {
-        if (op == VmaOp::kMunmap) {
-            k_.pages().revoke_range(site, addr, end);
-        } else if ((prot & mem::kProtRead) == 0) {
-            k_.pages().sequester_range(site, addr, end);
-        } else if ((prot & mem::kProtWrite) == 0) {
-            k_.pages().downgrade_range(site, addr, end);
-        }
-        broadcast_update(site, op, addr, end, prot);
-    } else {
-        broadcast_update(site, op, addr, end, prot);
-        if (op == VmaOp::kMunmap) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kRevoke, addr, end);
-        } else if ((prot & mem::kProtRead) == 0) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kSequester, addr, end);
-        } else if ((prot & mem::kProtWrite) == 0) {
-            k_.pages().home_range_fanout(site, HomeRangeKind::kDowngrade, addr, end);
-        }
+    // One order at every shard count: broadcast FIRST, then sweep every
+    // home's directory slice. Once the acked broadcast returns every
+    // replica has dropped the range (and bumped its epoch), so no home can
+    // validate a new fault in it and the sweeps converge without chasing
+    // freshly-born entries. With one shard the only home is the origin,
+    // whose faults validate against the master VMA already updated above —
+    // no fault validates in the dead range there even mid-broadcast.
+    broadcast_update(site, op, addr, end, prot);
+    if (op == VmaOp::kMunmap) {
+        k_.pages().home_range_fanout(site, HomeRangeKind::kRevoke, addr, end);
+    } else if ((prot & mem::kProtRead) == 0) {
+        k_.pages().home_range_fanout(site, HomeRangeKind::kSequester, addr, end);
+    } else if ((prot & mem::kProtWrite) == 0) {
+        k_.pages().home_range_fanout(site, HomeRangeKind::kDowngrade, addr, end);
     }
 
     if (op == VmaOp::kMunmap && check::enabled()) {
@@ -337,12 +327,12 @@ void VmaServer::on_vma_update(msg::Node& node, msg::MessagePtr m) {
                                   static_cast<std::uint64_t>(req.epoch));
         if (req.op == VmaOp::kMunmap) {
             site.space().vmas().erase_range(req.start, req.end);
-            // Defence in depth: the revoke pass already dropped our PTEs
-            // (the directory knows every holder), but clear any stragglers
-            // so a stale mapping can never outlive its VMA. mprotect must
-            // NOT clear here — its page-level effect is handled through the
-            // directory (downgrade/sequester), which keeps holder sets and
-            // PTEs in sync.
+            // Drop our copies in the range now: the directory sweep that
+            // follows this broadcast would invalidate them too (it knows
+            // every holder), but a stale mapping must never outlive its
+            // VMA. mprotect must NOT clear here — its page-level effect is
+            // handled through the directory (downgrade/sequester), which
+            // keeps holder sets and PTEs in sync.
             std::vector<mem::Vaddr> stale;
             site.space().page_table().for_each_present(
                 req.start, req.end,

@@ -472,13 +472,13 @@ struct ElasticEvictResp {
 
 // --- Sharded directory homes (rko/home; kHomeRangeOp / kHomeRebuild) --------
 
-/// Which destructive sweep a non-origin home should run over its local
-/// directory slice (mirrors PageOwner::revoke/downgrade/sequester_range).
+/// Which destructive sweep a home should run over its local directory
+/// slice (mirrors PageOwner::revoke/downgrade/sequester_range).
 enum class HomeRangeKind : std::uint32_t { kRevoke = 0, kDowngrade, kSequester };
 
-/// Origin -> every eligible home, after a destructive VMA op's replica
-/// broadcast: sweep your directory entries in [start, end). Only sent with
-/// home_shards > 1; the shards=1 wire protocol is unchanged.
+/// Origin -> every other home the map names, after a destructive VMA op's
+/// replica broadcast: sweep your directory entries in [start, end). With
+/// one shard the origin is the only home, so none is sent.
 struct HomeRangeOpReq {
     Pid pid;
     HomeRangeKind kind;

@@ -166,16 +166,15 @@ void Elastic::broadcast_membership(core::MembershipEvent event,
 
 void Elastic::note_home_removed(topo::KernelId subject) {
     home::Map& map = k_.home_map();
-    if (!map.sharded()) return;
-    if ((map.eligible() & topo::kbit(subject)) == 0) return; // already out
     const topo::KernelMask before = map.eligible();
-    map.remove_kernel(subject);
+    if (!map.remove_kernel(subject)) return; // already out
     if (k_.node().dead()) return; // a corpse inherits nothing
     bool queued = false;
     k_.for_each_site([&](core::ProcessSite& site) {
         for (int s = 0; s < map.shards(); ++s) {
-            if (home::Map::owner_in(site.pid(), s, before) != subject) continue;
-            if (map.owner_of(site.pid(), s) != k_.id()) continue;
+            const topo::KernelId origin = site.origin();
+            if (map.owner_among(site.pid(), origin, s, before) != subject) continue;
+            if (map.owner_of(site.pid(), origin, s) != k_.id()) continue;
             site.set_home_rebuilding(s, true);
             home_rebuild_queue_.push_back(HomeRebuild{site.pid(), s, subject});
             queued = true;
@@ -255,14 +254,7 @@ void Elastic::on_evict(msg::Node& node, msg::MessagePtr m) {
     core::ElasticEvictResp resp{0};
     if (k_.has_site(req.pid)) {
         core::ProcessSite& site = k_.site(req.pid);
-        if (site.is_origin() || k_.home_map().sharded()) {
-            // Wait out a census rebuild: sweeping mid-rebuild would miss
-            // the entries the census is about to install.
-            for (int s = 0; s < k_.home_map().shards(); ++s) {
-                while (site.home_rebuilding(s)) {
-                    k_.engine().current().sleep_for(1000);
-                }
-            }
+        if (k_.home_map().may_home(k_.id(), site.origin())) {
             resp.evicted = k_.pages().evict_holder(site, req.holder);
         }
         if (site.is_origin()) {
@@ -365,11 +357,10 @@ void Elastic::reap_dead(topo::KernelId dead) {
     // 1. Page ownership: strip the dead holder from every directory entry
     //    of every process homed here. Surviving sharers (or the origin)
     //    keep the data; sole-copy pages are lost and refault as zero-fill.
-    //    With sharded homes every local site may hold a directory slice,
-    //    not just origin sites.
+    //    The home map says which local sites may hold a directory slice.
     std::vector<Pid> dir_pids;
     k_.for_each_site([&](core::ProcessSite& site) {
-        if (site.is_origin() || k_.home_map().sharded()) {
+        if (k_.home_map().may_home(k_.id(), site.origin())) {
             dir_pids.push_back(site.pid());
         }
     });
@@ -497,19 +488,48 @@ void Elastic::do_drain(sim::Actor& self) {
         evacuate_once();
         self.park_for(balance_period());
     }
-    // Empty of threads. Hand every page copy back (pull dirty bytes home,
-    // strip this holder from the directory), then drop the now-bare
-    // replica sites.
+    // Empty of threads. Our directory slices must move to survivors while
+    // our PTEs still exist (their census reconstructs the entries); only
+    // then can the homes pull our copies back and the bare sites drop.
+    // With one shard we hold no slice (a drained kernel is never an
+    // origin) and only the origin evicts.
     std::vector<Pid> pids;
     k_.for_each_site([&](core::ProcessSite& site) { pids.push_back(site.pid()); });
-    if (!k_.home_map().sharded()) {
-        for (const Pid pid : pids) {
-            core::ProcessSite& site = k_.site(pid);
-            RKO_ASSERT_MSG(!site.is_origin(), "drain of an origin kernel");
-            const topo::KernelId origin = site.origin();
+    // 1. Stop serving new directory traffic (stale-routed faults get
+    //    kRetry) and let in-flight transactions at our slices settle.
+    k_.home_map().remove_kernel(k_.id());
+    auto slices_busy = [&] {
+        bool busy = false;
+        k_.for_each_site([&](core::ProcessSite& site) {
+            for (auto& shard : site.dir_shards()) {
+                if (!shard.pending.empty()) busy = true;
+                for (const auto& [vpn, e] : shard.entries) {
+                    (void)vpn;
+                    if (e.busy) busy = true;
+                }
+            }
+        });
+        return busy;
+    };
+    while (slices_busy()) self.park_for(balance_period());
+    // 2. Announce the part: survivors inherit our shards and census
+    //    everyone's PTEs — including ours, which are still mapped.
+    state_[static_cast<std::size_t>(k_.id())] = PeerState::kParted;
+    membership_shadow_.on_write();
+    broadcast_membership(core::MembershipEvent::kParted, k_.id());
+    // 3. Every home the map names sweeps our copies out of its slice (the
+    //    handler waits out a mid-flight census rebuild first).
+    for (const Pid pid : pids) {
+        core::ProcessSite& site = k_.site(pid);
+        RKO_ASSERT_MSG(!site.is_origin(), "drain of an origin kernel");
+        topo::KernelMask targets =
+            k_.home_map().homes(site.origin()) & ~topo::kbit(k_.id());
+        for (; targets != 0; targets &= targets - 1) {
+            const auto peer = static_cast<topo::KernelId>(std::countr_zero(targets));
+            if (state_[static_cast<std::size_t>(peer)] == PeerState::kDead) continue;
             msg::RpcStatus st = msg::RpcStatus::kOk;
             auto reply = msg::rpc_retry(
-                k_.node(), origin,
+                k_.node(), peer,
                 [&] {
                     return msg::make_message(msg::MsgType::kElasticEvict,
                                              msg::MsgKind::kRequest,
@@ -520,67 +540,8 @@ void Elastic::do_drain(sim::Actor& self) {
                 drain_pages_evicted_.inc(
                     reply->payload_as<core::ElasticEvictResp>().evicted);
             }
-            k_.drop_site(pid);
         }
-        state_[static_cast<std::size_t>(k_.id())] = PeerState::kParted;
-        membership_shadow_.on_write();
-        broadcast_membership(core::MembershipEvent::kParted, k_.id());
-    } else {
-        // Sharded homes: our directory shards must move to survivors while
-        // our PTEs still exist (their census reconstructs the entries), and
-        // only then can the copies themselves be swept.
-        // 1. Stop serving new directory traffic (stale-routed faults get
-        //    kRetry) and let in-flight transactions at our slices settle.
-        k_.home_map().remove_kernel(k_.id());
-        auto slices_busy = [&] {
-            bool busy = false;
-            k_.for_each_site([&](core::ProcessSite& site) {
-                for (auto& shard : site.dir_shards()) {
-                    if (!shard.pending.empty()) busy = true;
-                    for (const auto& [vpn, e] : shard.entries) {
-                        (void)vpn;
-                        if (e.busy) busy = true;
-                    }
-                }
-            });
-            return busy;
-        };
-        while (slices_busy()) self.park_for(balance_period());
-        // 2. Announce the part: survivors inherit our shards and census
-        //    everyone's PTEs — including ours, which are still mapped.
-        state_[static_cast<std::size_t>(k_.id())] = PeerState::kParted;
-        membership_shadow_.on_write();
-        broadcast_membership(core::MembershipEvent::kParted, k_.id());
-        // 3. Every surviving home sweeps our copies out of its slice (the
-        //    handler waits out a mid-flight census rebuild first).
-        for (const Pid pid : pids) {
-            core::ProcessSite& site = k_.site(pid);
-            RKO_ASSERT_MSG(!site.is_origin(), "drain of an origin kernel");
-            topo::KernelMask targets =
-                (k_.home_map().eligible() | topo::kbit(site.origin())) &
-                ~topo::kbit(k_.id());
-            for (; targets != 0; targets &= targets - 1) {
-                const auto peer =
-                    static_cast<topo::KernelId>(std::countr_zero(targets));
-                if (state_[static_cast<std::size_t>(peer)] == PeerState::kDead) {
-                    continue;
-                }
-                msg::RpcStatus st = msg::RpcStatus::kOk;
-                auto reply = msg::rpc_retry(
-                    k_.node(), peer,
-                    [&] {
-                        return msg::make_message(
-                            msg::MsgType::kElasticEvict, msg::MsgKind::kRequest,
-                            core::ElasticEvictReq{pid, k_.id()});
-                    },
-                    4, balance_period() / 4 + 1, &st);
-                if (reply != nullptr) {
-                    drain_pages_evicted_.inc(
-                        reply->payload_as<core::ElasticEvictResp>().evicted);
-                }
-            }
-            k_.drop_site(pid);
-        }
+        k_.drop_site(pid);
     }
     draining_ = false;
     if (trace::Tracer* tr = trace::active(k_.engine())) {

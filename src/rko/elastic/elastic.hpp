@@ -19,10 +19,11 @@
 //     CLEARTID path), and its in-flight RPCs fail with kPeerDead.
 //   - drain() evacuates a kernel instead: queued threads are re-queued on
 //     peers, running threads get migration hints, blocked threads are
-//     spuriously woken so they migrate at the post-wait checkpoint, and the
-//     emptied kernel hands every page copy back to each origin
-//     (kElasticEvict) before parting. A parted kernel keeps its node alive
-//     and may later rejoin.
+//     spuriously woken so they migrate at the post-wait checkpoint; the
+//     emptied kernel then leaves the home map, waits for its directory
+//     slice to go idle, parts, and has every home evict its page copies
+//     (kElasticEvict). A parted kernel keeps its node alive and may later
+//     rejoin.
 //   - join() (hot add) announces the kernel and boots its balancer, so
 //     idle-steal starts pulling work within one balance period. Kernels in
 //     ElasticConfig::deferred_mask boot parted for staggered hot-join runs.
@@ -136,9 +137,10 @@ private:
     /// Survivor-side re-homing of one dead peer's footprint.
     void reap_dead(topo::KernelId dead);
     void declare_dead(topo::KernelId subject, bool broadcast);
-    /// Sharded homes (rko/home): removes `subject` from the local home map
-    /// and flags every shard this kernel inherits as rebuilding, queueing
-    /// the census rebuilds for the reaper. Inline-safe (pure state).
+    /// Home map (rko/home): removes `subject` from the local home map and
+    /// flags every shard this kernel inherits as rebuilding (none with one
+    /// shard), queueing the census rebuilds for the reaper. Inline-safe
+    /// (pure state).
     void note_home_removed(topo::KernelId subject);
     /// Reaper-side: drains home_rebuild_queue_ (kHomeRebuild censuses).
     void process_home_rebuilds();

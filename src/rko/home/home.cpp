@@ -1,15 +1,32 @@
 #include "rko/home/home.hpp"
 
 #include <bit>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace rko::home {
 
+std::optional<int> parse_shards(std::string_view text) {
+    // from_chars rejects empty text, '+', spaces and overflow; a '-' sign
+    // yields a value below 1, and a trailing suffix leaves `end` short.
+    int shards = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, shards);
+    if (ec != std::errc() || end != last || shards < 1) return std::nullopt;
+    return shards;
+}
+
 int shards_from_env() {
     const char* env = std::getenv("RKO_HOME_SHARDS");
     if (env == nullptr || *env == '\0') return 1;
-    const int shards = std::atoi(env);
-    return shards < 1 ? 1 : shards;
+    const std::optional<int> shards = parse_shards(env);
+    if (!shards) {
+        std::fprintf(stderr, "rko: RKO_HOME_SHARDS='%s' is not a whole positive "
+                             "decimal integer\n", env);
+        std::exit(2);
+    }
+    return *shards;
 }
 
 topo::KernelId Map::owner_in(Pid pid, int shard, topo::KernelMask mask) {

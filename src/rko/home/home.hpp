@@ -6,10 +6,11 @@
 // two roles: a page's *home* — the kernel holding its directory entry and
 // running its ownership transactions — is chosen by hashing the VPN into
 // one of `shards` buckets and rendezvous-hashing each (pid, shard) pair
-// over the currently-eligible kernels. With `shards == 1` every page's
-// home is the origin and the wire protocol is bit-identical to the
-// pre-home system; with more shards, faults on different pages resolve at
-// different kernels in parallel.
+// over the currently-eligible kernels. The Map is the only code that says
+// who homes (pid, vpn) and which kernels hold pid's directory, so every
+// protocol path runs the same code at any shard count. One shard is the
+// degenerate map: both answers are the origin (as in the paper) and the
+// rendezvous hash is never consulted.
 //
 // Eligibility is shrink-only: it starts as the boot membership (deferred
 // kernels excluded) and loses kernels on death or part, but a later join
@@ -21,6 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "rko/base/assert.hpp"
 #include "rko/mem/types.hpp"
@@ -51,52 +54,70 @@ public:
         eligible_ = eligible;
     }
 
-    /// True when home routing is active (more than one shard). The
-    /// shards==1 configuration must behave — and speak — exactly like the
-    /// pre-home system, so every new code path gates on this.
-    bool sharded() const { return shards_ > 1; }
     int shards() const { return shards_; }
     topo::KernelMask eligible() const { return eligible_; }
 
     /// Which shard a virtual page number belongs to.
     int shard_of(std::uint64_t vpn) const {
-        return sharded()
-                   ? static_cast<int>(splitmix64(vpn) %
-                                      static_cast<std::uint64_t>(shards_))
-                   : 0;
+        return shards_ == 1
+                   ? 0
+                   : static_cast<int>(splitmix64(vpn) %
+                                      static_cast<std::uint64_t>(shards_));
     }
 
-    /// The kernel owning (pid, shard) under the current eligibility.
-    topo::KernelId owner_of(Pid pid, int shard) const {
-        return owner_in(pid, shard, eligible_);
+    /// The kernel homing (pid, shard) of a process born at `origin` had
+    /// the eligible set been `mask` (so the elastic reaper can diff owners
+    /// across a membership change): the origin with one shard or an empty
+    /// mask (the origin is immortal), else the rendezvous owner.
+    topo::KernelId owner_among(Pid pid, topo::KernelId origin, int shard,
+                               topo::KernelMask mask) const {
+        return shards_ == 1 || mask == 0 ? origin : owner_in(pid, shard, mask);
+    }
+    topo::KernelId owner_of(Pid pid, topo::KernelId origin, int shard) const {
+        return owner_among(pid, origin, shard, eligible_);
+    }
+    topo::KernelId home_of(Pid pid, topo::KernelId origin, std::uint64_t vpn) const {
+        return owner_of(pid, origin, shard_of(vpn));
+    }
+
+    /// The kernels `origin`'s directory traffic is routed to: what a
+    /// destructive sweep, a drain's eviction and process birth must reach.
+    topo::KernelMask homes(topo::KernelId origin) const {
+        return shards_ == 1 ? topo::kbit(origin) : (eligible_ | topo::kbit(origin));
+    }
+
+    /// Whether kernel `k` may hold a slice of `origin`'s process directory:
+    /// only the origin with one shard; any kernel with more (one that left
+    /// the eligible set keeps its stale slice until its drain drops it).
+    bool may_home(topo::KernelId k, topo::KernelId origin) const {
+        return k == origin || shards_ > 1;
     }
 
     /// Rendezvous (highest-random-weight) owner of (pid, shard) among the
-    /// kernels in `mask`. Pure so the elastic reaper can diff ownership
-    /// before/after a membership change.
+    /// kernels in `mask`. Pure.
     static topo::KernelId owner_in(Pid pid, int shard, topo::KernelMask mask);
 
     /// Membership shrink: a dead or parted kernel stops owning shards.
-    /// Idempotent; joins deliberately do NOT re-add (re-expansion would
-    /// need a handoff protocol the failover path doesn't).
-    void remove_kernel(topo::KernelId k) { eligible_ &= ~topo::kbit(k); }
+    /// Idempotent (false when `k` was already out); joins deliberately do
+    /// NOT re-add (re-expansion would need a handoff protocol the failover
+    /// path doesn't).
+    bool remove_kernel(topo::KernelId k) {
+        const bool was_eligible = (eligible_ & topo::kbit(k)) != 0;
+        eligible_ &= ~topo::kbit(k);
+        return was_eligible;
+    }
 
 private:
     int shards_ = 1;
     topo::KernelMask eligible_ = 0;
 };
 
-/// Default shard count for MachineConfig: the RKO_HOME_SHARDS environment
-/// variable when set (clamped to >= 1), else 1 (home routing off).
-int shards_from_env();
+/// A shard count: a whole positive decimal integer that fits an int (no
+/// sign, spaces or suffix), else nullopt.
+std::optional<int> parse_shards(std::string_view text);
 
-/// The home kernel for (pid, vpn): the origin when unsharded (or when the
-/// eligible set somehow emptied — the origin is immortal), else the
-/// rendezvous owner of the page's shard.
-inline topo::KernelId home_of(const Map& map, Pid pid, topo::KernelId origin,
-                              std::uint64_t vpn) {
-    if (!map.sharded() || map.eligible() == 0) return origin;
-    return Map::owner_in(pid, map.shard_of(vpn), map.eligible());
-}
+/// Default shard count for MachineConfig: RKO_HOME_SHARDS when set, else
+/// 1. A value parse_shards rejects is fatal, with an error naming it.
+int shards_from_env();
 
 } // namespace rko::home

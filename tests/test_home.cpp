@@ -46,7 +46,7 @@ double gauge_value(trace::MetricsRegistry& m, const std::string& name) {
 TEST(HomeMap, ShardOfIsStableAndCoversAllShards) {
     home::Map map;
     map.init(8, 0b1111);
-    ASSERT_TRUE(map.sharded());
+    ASSERT_EQ(map.shards(), 8);
     std::set<int> hit;
     for (std::uint64_t vpn = 0; vpn < 4096; ++vpn) {
         const int s = map.shard_of(vpn);
@@ -61,7 +61,7 @@ TEST(HomeMap, ShardOfIsStableAndCoversAllShards) {
 TEST(HomeMap, UnshardedEverythingIsShardZero) {
     home::Map map;
     map.init(1, 0b1111);
-    EXPECT_FALSE(map.sharded());
+    EXPECT_EQ(map.shards(), 1);
     for (std::uint64_t vpn = 0; vpn < 64; ++vpn) {
         EXPECT_EQ(map.shard_of(vpn), 0);
     }
@@ -100,29 +100,66 @@ TEST(HomeMap, RemovalOnlyMovesTheDeadKernelsShards) {
 TEST(HomeMap, RemoveKernelShrinksEligibility) {
     home::Map map;
     map.init(4, 0b1111);
-    map.remove_kernel(1);
+    EXPECT_TRUE(map.remove_kernel(1));
     EXPECT_EQ(map.eligible(), 0b1101u);
-    map.remove_kernel(1); // idempotent
+    EXPECT_FALSE(map.remove_kernel(1)); // idempotent
     EXPECT_EQ(map.eligible(), 0b1101u);
     for (int shard = 0; shard < 4; ++shard) {
-        EXPECT_NE(map.owner_of(1, shard), 1);
+        EXPECT_NE(map.owner_of(1, 0, shard), 1);
     }
 }
 
 TEST(HomeMap, HomeOfFallsBackToOrigin) {
     home::Map unsharded;
     unsharded.init(1, 0b1111);
-    EXPECT_EQ(home::home_of(unsharded, 1, 2, 0x1234), 2);
+    EXPECT_EQ(unsharded.home_of(1, 2, 0x1234), 2);
+
+    // The one-shard map names the origin for every pid and page, before
+    // and after every non-origin kernel leaves, and never routes directory
+    // traffic (or lets a directory live) anywhere else.
+    constexpr topo::KernelId kOrigin = 2;
+    home::Map degenerate;
+    degenerate.init(1, 0b1111);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Pid pid = 1; pid <= 6; ++pid) {
+            for (std::uint64_t vpn : {0x0ull, 0x1234ull, 0xdeadbeefull}) {
+                EXPECT_EQ(degenerate.home_of(pid, kOrigin, vpn), kOrigin)
+                    << "pass " << pass << " pid " << pid << " vpn " << vpn;
+            }
+            EXPECT_EQ(degenerate.owner_among(pid, kOrigin, 0, 0b0011), kOrigin);
+        }
+        EXPECT_EQ(degenerate.homes(kOrigin), topo::kbit(kOrigin));
+        EXPECT_TRUE(degenerate.may_home(kOrigin, kOrigin));
+        for (topo::KernelId k : {0, 1, 3}) {
+            EXPECT_FALSE(degenerate.may_home(k, kOrigin)) << "kernel " << k;
+            degenerate.remove_kernel(k);
+        }
+        EXPECT_EQ(degenerate.eligible(), topo::kbit(kOrigin));
+    }
 
     home::Map emptied;
     emptied.init(4, 0b0100);
     emptied.remove_kernel(2); // eligibility can reach zero only in theory
-    EXPECT_EQ(home::home_of(emptied, 1, 0, 0x1234), 0);
+    EXPECT_EQ(emptied.home_of(1, 0, 0x1234), 0);
 
     home::Map sharded;
     sharded.init(4, 0b1111);
-    const topo::KernelId home = home::home_of(sharded, 1, 0, 0x1234);
-    EXPECT_EQ(home, sharded.owner_of(1, sharded.shard_of(0x1234)));
+    const topo::KernelId home = sharded.home_of(1, 0, 0x1234);
+    EXPECT_EQ(home, home::Map::owner_in(1, sharded.shard_of(0x1234), 0b1111));
+    EXPECT_EQ(sharded.homes(0), 0b1111u);
+}
+
+// RKO_HOME_SHARDS accepts only a whole positive decimal integer: a typo
+// must fail loudly rather than quietly run the one-shard map.
+TEST(HomeMap, ParseShardsAcceptsOnlyWholePositiveIntegers) {
+    EXPECT_EQ(home::parse_shards("1"), 1);
+    EXPECT_EQ(home::parse_shards("4"), 4);
+    EXPECT_EQ(home::parse_shards("064"), 64);
+    EXPECT_EQ(home::parse_shards("2147483647"), 2147483647);
+    for (const char* bad : {"", "four", "0", "00", "-2", "+4", "4x", "4 ", " 4",
+                            "4.0", "0x10", "2147483648", "99999999999999999999"}) {
+        EXPECT_EQ(home::parse_shards(bad), std::nullopt) << "'" << bad << "'";
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -314,46 +351,55 @@ TEST(Home, KillingAShardOwnerRehomesAndRetriedFaultsComplete) {
 }
 
 // Drain takes the voluntary path through the same machinery: the drained
-// kernel removes itself from the map, waits for its slices to quiesce,
-// parts, and hands its page copies home — no data is lost.
+// kernel leaves the map, waits for its slices to quiesce, parts, and hands
+// its page copies to every home — no data is lost. Both shard counts run
+// the one drain protocol; only with several shards does the drained kernel
+// own a slice, so only then does a survivor rebuild one.
 TEST(Home, DrainingAShardOwnerPreservesDataAndRehomes) {
     constexpr int kPages = 8;
-    Machine machine(failover_config(8));
-    auto& process = machine.create_process(0);
-    Vaddr buf = 0;
-    auto& writer = process.spawn(
-        [&](Guest& g) {
-            buf = g.mmap(kPages * kPageSize);
-            for (int p = 0; p < kPages; ++p) {
-                g.write<std::uint32_t>(buf + static_cast<Vaddr>(p) * kPageSize,
-                                       static_cast<std::uint32_t>(0x100 + p));
-            }
-        },
-        2);
-    process.spawn([](Guest& g) { g.compute(2_ms); }, 0); // keep ticks alive
-    machine.run_until(300_us);
-    ASSERT_TRUE(writer.finished());
-    machine.drain_kernel(2);
-    machine.run();
+    for (const int shards : {1, 8}) {
+        SCOPED_TRACE("home_shards=" + std::to_string(shards));
+        Machine machine(failover_config(shards));
+        auto& process = machine.create_process(0);
+        Vaddr buf = 0;
+        auto& writer = process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint32_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                           static_cast<std::uint32_t>(0x100 + p));
+                }
+            },
+            2);
+        process.spawn([](Guest& g) { g.compute(2_ms); }, 0); // keep ticks alive
+        machine.run_until(300_us);
+        ASSERT_TRUE(writer.finished());
+        machine.drain_kernel(2);
+        machine.run();
 
-    auto metrics = machine.collect_metrics();
-    EXPECT_GE(counter_value(metrics, "elastic.home_rebuilds"), 1u);
+        auto metrics = machine.collect_metrics();
+        if (shards > 1) {
+            EXPECT_GE(counter_value(metrics, "elastic.home_rebuilds"), 1u);
+        } else {
+            EXPECT_EQ(counter_value(metrics, "elastic.home_rebuilds"), 0u);
+        }
 
-    std::vector<std::uint32_t> seen(kPages, 0);
-    process.spawn(
-        [&](Guest& g) {
-            for (int p = 0; p < kPages; ++p) {
-                seen[static_cast<std::size_t>(p)] = g.read<std::uint32_t>(
-                    buf + static_cast<Vaddr>(p) * kPageSize);
-            }
-        },
-        0);
-    machine.run();
-    process.check_all_joined();
-    for (int p = 0; p < kPages; ++p) {
-        EXPECT_EQ(seen[static_cast<std::size_t>(p)],
-                  static_cast<std::uint32_t>(0x100 + p))
-            << "page " << p << " lost its data across the drain";
+        std::vector<std::uint32_t> seen(kPages, 0);
+        process.spawn(
+            [&](Guest& g) {
+                for (int p = 0; p < kPages; ++p) {
+                    seen[static_cast<std::size_t>(p)] = g.read<std::uint32_t>(
+                        buf + static_cast<Vaddr>(p) * kPageSize);
+                }
+            },
+            0);
+        machine.run();
+        process.check_all_joined();
+        for (int p = 0; p < kPages; ++p) {
+            EXPECT_EQ(seen[static_cast<std::size_t>(p)],
+                      static_cast<std::uint32_t>(0x100 + p))
+                << "page " << p << " lost its data across the drain";
+        }
     }
 }
 

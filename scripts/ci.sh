@@ -6,7 +6,8 @@
 #   2. checked:  the same ctest suite with RKO_CHECK=1, arming every gated
 #                inline protocol assertion (busy-bit audits, waiter dedup,
 #                post-revoke sweeps) — keeps the soak/invariant results of
-#                later stages trustworthy
+#                later stages trustworthy — then once more with 4-way
+#                sharded homes (RKO_HOME_SHARDS=4)
 #   3. race:     the suite again with RKO_RACE=1 RKO_CHECK=1 (lockset /
 #                lock-order / await-atomicity detector armed; a finding
 #                fails the run via the "race" invariant family), plus
@@ -49,9 +50,11 @@ cmake --build build -j "$JOBS" || fail tier-1 "cmake --build build -j"
 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail tier-1 "ctest --test-dir build --output-on-failure"
 
-echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1 ==="
+echo "=== ci.sh stage 2/7: tier-1 tests with RKO_CHECK=1, then RKO_HOME_SHARDS=4 ==="
 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \
   || fail checked "RKO_CHECK=1 ctest --test-dir build --output-on-failure"
+RKO_HOME_SHARDS=4 ctest --test-dir build --output-on-failure -j "$JOBS" \
+  || fail checked "RKO_HOME_SHARDS=4 ctest --test-dir build --output-on-failure"
 
 echo "=== ci.sh stage 3/7: race detector (RKO_RACE=1) ==="
 RKO_RACE=1 RKO_CHECK=1 ctest --test-dir build --output-on-failure -j "$JOBS" \

@@ -44,13 +44,9 @@ Balancer::Balancer(kernel::Kernel& k, const BalanceConfig& config)
 Balancer::~Balancer() = default;
 
 void Balancer::install() {
-    // Jumps the leaf queue: a victim's leaf pool can hold a whole pull
-    // round's per-page invalidates (each ~2.3 us on the mmap write lock),
-    // and a steal queued behind them outlives the thief's 2-period timeout.
     k_.node().register_handler(
         msg::MsgType::kSteal, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_steal(node, std::move(m)); },
-        /*jump_queue=*/true);
+        [this](msg::Node& node, msg::MessagePtr m) { on_steal(node, std::move(m)); });
 }
 
 void Balancer::start() {

@@ -848,6 +848,73 @@ ScenarioResult run_migrate_ownership_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// Kills the requester or the source of a working-set surrender in flight
+/// (DESIGN.md §15). Two writers dirty their own pages on k1 and migrate to
+/// k2, so the origin k0 has k1 surrender both working sets straight to k2.
+/// The seed picks the victim — k2, the requester, or k1, the source — and
+/// a kill time across the surrender window: before the pull, mid-capture,
+/// between pushes, after the replies. A reader on the immortal origin then
+/// re-faults every page. Each one must read back its writer's value or
+/// zero (its only copy died with the victim), never stale or foreign bytes;
+/// the audits check that no surviving copy lacks a directory entry and no
+/// busy bit or pending install leaks.
+ScenarioResult run_surrender_kill(const ExploreConfig& cfg) {
+    constexpr int kWriters = 2;
+    constexpr int kPages = 12;
+    Machine machine(elastic_storm_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn(
+        [&](Guest& g) { buf = g.mmap(kWriters * kPages * kPageSize); }, 0);
+    // The failure detector keeps ticking on the origin; k2 and k3 announce
+    // themselves (a peer never heard from has no lease to expire).
+    process.spawn([](Guest& g) { g.compute(1_ms); }, 0);
+    process.spawn([](Guest& g) { g.compute(150_us); }, 2);
+    process.spawn([](Guest& g) { g.compute(150_us); }, 3);
+    const auto page_of = [&buf](int w, int p) {
+        return buf + static_cast<Vaddr>(w * kPages + p) * kPageSize;
+    };
+    for (int w = 0; w < kWriters; ++w) {
+        process.spawn(
+            [&, w](Guest& g) {
+                g.join(init);
+                g.compute(200_us);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint32_t>(page_of(w, p), 0x100u * (w + 1) + p);
+                }
+                g.migrate(2);
+                g.compute(20_us);
+            },
+            1);
+    }
+    bool torn = false;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(1_ms); // past the kill and its lease expiry
+            for (int w = 0; w < kWriters; ++w) {
+                for (int p = 0; p < kPages; ++p) {
+                    const std::uint32_t v = g.read<std::uint32_t>(page_of(w, p));
+                    torn = torn || (v != 0 && v != 0x100u * (w + 1) + p);
+                }
+            }
+        },
+        0);
+    // Unperturbed, k1 receives the two surrenders at ~312-318 us and its
+    // pushes reach k2 until ~328 us; the kill times span 306-336 us.
+    const topo::KernelId victim = cfg.seed % 2 == 0 ? 2 : 1;
+    const Nanos kill_at = 306_us + static_cast<Nanos>((cfg.seed / 2) % 16) * 2_us;
+    machine.run_until(kill_at);
+    machine.kill_kernel(victim);
+    machine.run();
+    ScenarioResult res = finish(machine);
+    if (torn) {
+        res.report.fail("surrender.torn_page",
+                        "a page read back neither its writer's value nor zero");
+    }
+    return res;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep driver.
 // ---------------------------------------------------------------------------
@@ -970,6 +1037,11 @@ const std::vector<Scenario>& scenarios() {
          "writes them and a munmap drops half the region",
          /*content_deterministic=*/true, /*expect_violation=*/false,
          &run_migrate_ownership_race},
+        {"surrender_kill",
+         "the requester or the source of a working-set surrender is killed "
+         "while its pages are in flight",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_surrender_kill},
     };
     return list;
 }

@@ -227,12 +227,14 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
     // no fiber will ever arrive (the source's rpc ticket dies with the node
     // and the thread re-places there), and a live kNew record on an out
     // kernel both trips the membership audit and wedges do_kill's drain.
-    if (k_.node().dead()) {
+    const auto retire_if_dead = [&] {
+        if (!k_.node().dead()) return false;
         k_.site(req.pid).local_tasks().erase(req.tid);
         t->actor = nullptr;
         t->state = task::TaskState::kExited;
-        return;
-    }
+        return true;
+    };
+    if (retire_if_dead()) return;
 
     // Tell the origin where the thread lives now (one-way; ordering with
     // the thread's own exit is per-channel FIFO from this kernel).
@@ -242,6 +244,8 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
                                          GroupUpdateMsg{req.pid, req.tid,
                                                         GroupUpdateKind::kLocation,
                                                         k_.id()}));
+        // The send yields too: a kill landing in it drops the reply below.
+        if (retire_if_dead()) return;
     } else {
         k_.site(req.pid).group().location[req.tid] = k_.id();
     }

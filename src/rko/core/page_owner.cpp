@@ -62,31 +62,26 @@ std::uint32_t effective_prot(std::uint32_t vma_prot, bool writable) {
     return writable ? vma_prot : (vma_prot & ~mem::kProtWrite);
 }
 
+/// Removes `k` from the entry's holder set. Returns false when no holder
+/// remains: the caller erases the entry (the data is gone).
+bool drop_holder(PageDirEntry& entry, topo::KernelId k) {
+    if (entry.state == PageDirEntry::State::kExclusive) return entry.owner != k;
+    entry.sharers &= ~topo::kbit(k);
+    return entry.sharers != 0;
+}
+
 /// Shared tail of commit_install/abandon_pending: applies `updated` (ok) or
-/// removes the requester from the holder set (!ok). Shard lock held.
+/// removes the requester from the holder set (!ok: it abandoned the install
+/// — racing munmap, or it died). Shard lock held.
 void apply_commit_locked(ProcessSite::DirShard& shard, std::uint64_t vpn,
                          PageDirEntry updated, topo::KernelId requester, bool ok) {
     auto it = shard.entries.find(vpn);
     RKO_ASSERT(it != shard.entries.end() && it->second.busy);
-    if (ok) {
-        it->second = updated; // updated.busy is already false
-        return;
-    }
-    // The requester abandoned the install (racing munmap, or it died):
-    // remove it from the holder set; an empty holder set retires the entry.
-    if (updated.state == PageDirEntry::State::kExclusive) {
-        if (updated.owner == requester) {
-            shard.entries.erase(it);
-        } else {
-            it->second = updated;
-        }
+    // updated.busy is already false
+    if (ok || drop_holder(updated, requester)) {
+        it->second = updated;
     } else {
-        updated.sharers &= ~topo::kbit(requester);
-        if (updated.sharers == 0) {
-            shard.entries.erase(it);
-        } else {
-            it->second = updated;
-        }
+        shard.entries.erase(it);
     }
 }
 
@@ -170,6 +165,11 @@ void PageOwner::install() {
     k_.node().register_handler(
         msg::MsgType::kWorksetPush, msg::HandlerClass::kLeaf,
         [this](msg::Node& node, msg::MessagePtr m) { on_page_push(node, std::move(m)); });
+    k_.node().register_handler(
+        msg::MsgType::kPageSurrender, msg::HandlerClass::kLeaf,
+        [this](msg::Node& node, msg::MessagePtr m) {
+            on_page_surrender(node, std::move(m));
+        });
 }
 
 // ---------------------------------------------------------------------------
@@ -178,23 +178,9 @@ void PageOwner::install() {
 
 bool PageOwner::local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
                             std::byte* out) {
-    WriteGuard guard(site.space().mmap_lock());
-    const mem::Pte* pte = site.space().page_table().find(page);
-    if (pte == nullptr || !pte->present) return false;
-    // Downgrade BEFORE capturing the bytes: a local writer slipping one
-    // more store in after the copy would diverge from the shipped data.
-    // The protect+bump pair must not be separated by a yield (stale-TLB
-    // hazard, see local_invalidate).
-    bool downgraded = false;
-    if (downgrade && (pte->prot & mem::kProtWrite) != 0) {
-        site.space().page_table().protect(page, pte->prot & ~mem::kProtWrite);
-        site.space().bump_tlb_generation();
-        downgraded = true;
-    }
-    std::memcpy(out, k_.phys().frame_ptr(pte->paddr), mem::kPageSize);
-    sim::current_actor().sleep_for(k_.costs().page_copy);
-    if (downgraded) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return true;
+    Capture c{page, downgrade ? SurrenderMode::kDowngrade : SurrenderMode::kReplica, out};
+    capture_pages(site, {&c, 1});
+    return c.captured;
 }
 
 bool PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
@@ -582,6 +568,7 @@ void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
     PageDirEntry updated = pending_it->second;
     shard.pending.erase(pending_it);
     shard.pending_from.erase(vpn);
+    shard.surrendering.erase(vpn); // the confirm overtook the owner's reply
     apply_commit_locked(shard, vpn, updated, requester, ok);
     shard.shadow.on_write();
     shard.busy_wait.notify_all();
@@ -598,8 +585,11 @@ bool PageOwner::abandon_pending(ProcessSite& site, mem::Vaddr page,
     shard.lock.lock();
     auto pending_it = shard.pending.find(vpn);
     auto from_it = shard.pending_from.find(vpn);
+    // A page still being surrendered is rolled back by its own transaction
+    // once the owner answers: the owner may have kept its copy, which the
+    // rollback below would strip from the directory.
     if (pending_it == shard.pending.end() || from_it == shard.pending_from.end() ||
-        from_it->second != requester) {
+        from_it->second != requester || shard.surrendering.contains(vpn)) {
         shard.lock.unlock();
         return false;
     }
@@ -1422,19 +1412,13 @@ std::pair<std::uint32_t, std::uint32_t> PageOwner::rehome_dead(ProcessSite& site
                 ++it;
                 continue;
             }
-            if (entry.state == PageDirEntry::State::kExclusive) {
+            if (drop_holder(entry, dead)) {
+                ++rehomed;
+                ++it;
+            } else {
                 // Sole copy died with its kernel; later faults zero-fill.
                 it = shard.entries.erase(it);
                 ++lost;
-            } else {
-                entry.sharers &= ~topo::kbit(dead);
-                if (entry.sharers == 0) {
-                    it = shard.entries.erase(it);
-                    ++lost;
-                } else {
-                    ++rehomed;
-                    ++it;
-                }
             }
         }
         // Like the futex sweep: stripping the corpse is a write even when
@@ -1677,30 +1661,125 @@ std::vector<mem::Vaddr> PageOwner::claim_pages(ProcessSite& site,
     return grants;
 }
 
+void PageOwner::capture_pages(ProcessSite& site, std::span<Capture> batch) {
+    // Every PTE change in the batch — ownership revokes and replica
+    // downgrades alike — shares one generation bump and one modeled
+    // shootdown (the local_*_range shape). Clears, protects and the bump
+    // share a no-yield window; the copy sleeps land after it closes (see
+    // local_invalidate). Revoked frames are NOT freed here: the caller frees
+    // them after its reply, off the requester's critical path.
+    WriteGuard guard(site.space().mmap_lock());
+    std::uint32_t changed = 0;
+    for (Capture& c : batch) {
+        const mem::Pte* pte = site.space().page_table().find(c.page);
+        if (pte == nullptr || !pte->present) {
+            // Our copy is gone despite the directory: munmap's replica
+            // broadcast precedes the directory sweep and is not gated on
+            // the busy bit. The sweep erases the entry later.
+            continue;
+        }
+        c.captured = true;
+        if (c.mode == SurrenderMode::kOwnership) {
+            c.revoked = site.space().page_table().clear(c.page);
+            ++changed;
+        } else if (c.mode == SurrenderMode::kDowngrade &&
+                   (pte->prot & mem::kProtWrite) != 0) {
+            site.space().page_table().protect(c.page, pte->prot & ~mem::kProtWrite);
+            ++changed;
+        }
+    }
+    if (changed != 0) site.space().bump_tlb_generation();
+    Nanos copy_cost = 0;
+    for (Capture& c : batch) {
+        if (!c.captured) continue;
+        const mem::Paddr frame = c.mode == SurrenderMode::kOwnership
+                                     ? c.revoked.paddr
+                                     : site.space().page_table().find(c.page)->paddr;
+        std::memcpy(c.out, k_.phys().frame_ptr(frame), mem::kPageSize);
+        copy_cost += k_.costs().page_copy;
+    }
+    if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
+    if (changed != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
+}
+
+std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
+                                    topo::KernelId requester, topo::KernelId home,
+                                    bool workset,
+                                    const std::function<void(std::size_t)>& before_send,
+                                    std::vector<mem::Paddr>* freed) {
+    // A requester already dead gets nothing: every copy stays here.
+    if (batch.empty() || k_.node().peer_dead(requester)) return 0;
+    std::vector<PagePushMsg> pushes(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) batch[i].out = pushes[i].data.data();
+    capture_pages(site, batch);
+    const msg::MsgType type = workset ? msg::MsgType::kWorksetPush : msg::MsgType::kPagePush;
+    std::uint32_t shipped = 0;
+    std::vector<const Capture*> kept;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Capture& c = batch[i];
+        if (!c.captured) continue;
+        // Re-checked per page: each send yields, and a push to a requester
+        // declared dead meanwhile would only be dead-lettered.
+        if (k_.node().peer_dead(requester)) {
+            if (c.mode == SurrenderMode::kOwnership) kept.push_back(&c);
+            continue;
+        }
+        if (before_send) before_send(i);
+        PagePushMsg& push = pushes[i];
+        push.pid = site.pid();
+        push.va = c.page;
+        push.home = static_cast<std::uint8_t>(home);
+        push.exclusive = c.mode == SurrenderMode::kOwnership;
+        push.source = static_cast<std::uint8_t>(k_.id());
+        k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
+                                                           push, wire_bytes(push)));
+        if (push.exclusive) freed->push_back(c.revoked.paddr);
+        shipped |= 1u << i;
+    }
+    if (kept.empty()) return shipped;
+    // Kept copies are whole again before anyone learns they stayed: a
+    // revoked PTE comes back over its own (never freed) frame — widening a
+    // mapping needs no shootdown. A downgraded copy stays read-only, which
+    // its Exclusive entry tolerates (a later write upgrades in place).
+    WriteGuard guard(site.space().mmap_lock());
+    for (const Capture* c : kept) {
+        const mem::Pte* pte = site.space().page_table().find(c->page);
+        if (site.space().vmas().find(c->page) == nullptr ||
+            (pte != nullptr && pte->present)) {
+            // A munmap swept the range meanwhile: the data is dead.
+            k_.frames().free(c->revoked.paddr);
+            continue;
+        }
+        site.space().page_table().map(c->page, c->revoked.paddr, c->revoked.prot);
+    }
+    return shipped;
+}
+
+// One surrender can carry a whole claim: a pull's VPN list or a window.
+static_assert(task::kMaxWorkset <= PageSurrenderReq::kMaxPages &&
+              PageOwner::kMaxWorksetAround <= PageSurrenderReq::kMaxPages);
+
 std::uint32_t PageOwner::push_pages(ProcessSite& site,
                                     const std::vector<mem::Vaddr>& pages,
                                     topo::KernelId requester, bool owned,
                                     std::vector<mem::Paddr>* freed) {
     if (pages.empty()) return 0;
+    RKO_ASSERT(pages.size() <= PageSurrenderReq::kMaxPages);
     struct PushPage {
-        mem::Vaddr page = 0;
         std::uint64_t vpn = 0;
         PageDirEntry updated;
         topo::KernelId source = -1;
-        std::uint32_t vma_prot = 0;
-        bool local = false;     ///< bytes come from this kernel's own copy
-        bool downgrade = false; ///< replica of an Exclusive page (strip write)
-        bool cancelled = false;
-        mem::Pte revoked{};     ///< local ownership push: the cleared PTE
-        PagePushMsg push{};
+        SurrenderMode mode = SurrenderMode::kReplica;
     };
     std::vector<PushPage> work(pages.size());
-    const auto cancel_claim = [&](PushPage& p) {
-        p.cancelled = true;
-        auto& shard = site.dir_shard(p.vpn);
+    // Releases the claim of a home-held page that does not ship: the entry
+    // still holds its pre-push snapshot, so clearing busy is the rollback.
+    const auto release = [&](std::uint64_t vpn) {
+        auto& shard = site.dir_shard(vpn);
         shard.lock.lock();
-        auto it = shard.entries.find(p.vpn);
+        auto it = shard.entries.find(vpn);
         if (it != shard.entries.end()) it->second.busy = false;
+        shard.shadow.on_write();
         shard.busy_wait.notify_all();
         shard.lock.unlock();
     };
@@ -1711,202 +1790,182 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
     // move OWNED (a migrant's retouch writes then hit a local writable PTE
     // instead of a second remote fault); everything else — and every page
     // of a streaming fault-around window, which stands in for read faults —
-    // gets a replica, an Exclusive holder being downgraded.
+    // gets a replica, an Exclusive holder being downgraded. A page a remote
+    // owner will surrender has its pending parked now, flagged
+    // `surrendering`: the owner pushes it straight to the requester, whose
+    // confirm can overtake the owner's reply to us.
+    std::vector<std::uint32_t> vma_prot(pages.size());
     {
         ReadGuard guard(site.space().mmap_lock());
         for (std::size_t i = 0; i < pages.size(); ++i) {
             const mem::Vma* vma = site.space().vmas().find(pages[i]);
-            work[i].vma_prot = vma == nullptr ? 0 : vma->prot;
+            vma_prot[i] = vma == nullptr ? 0 : vma->prot;
         }
     }
     for (std::size_t i = 0; i < pages.size(); ++i) {
         PushPage& p = work[i];
-        p.page = pages[i];
-        p.vpn = mem::vpn_of(p.page);
+        p.vpn = mem::vpn_of(pages[i]);
         auto& shard = site.dir_shard(p.vpn);
         shard.lock.lock();
         auto it = shard.entries.find(p.vpn);
         RKO_ASSERT_MSG(it != shard.entries.end() && it->second.busy,
                        "push lost its claimed entry");
         const PageDirEntry snapshot = it->second;
-        shard.lock.unlock();
         p.updated = snapshot;
         p.updated.busy = false;
-        p.push.pid = site.pid();
-        p.push.va = p.page;
-        p.push.data_included = true;
         if (snapshot.state == PageDirEntry::State::kShared) {
             p.source = snapshot.holds(k_.id())
                            ? k_.id()
                            : static_cast<topo::KernelId>(
                                  std::countr_zero(snapshot.sharers));
             p.updated.sharers = snapshot.sharers | topo::kbit(requester);
-        } else if (owned && (p.vma_prot & mem::kProtWrite) != 0) {
+        } else if (owned && (vma_prot[i] & mem::kProtWrite) != 0) {
             p.source = snapshot.owner;
-            p.push.exclusive = true;
+            p.mode = SurrenderMode::kOwnership;
             p.updated.owner = requester;
         } else {
             p.source = snapshot.owner;
-            p.downgrade = true;
+            p.mode = SurrenderMode::kDowngrade;
             p.updated.state = PageDirEntry::State::kShared;
             p.updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
             p.updated.owner = -1;
         }
-        p.local = p.source == k_.id();
-        p.push.source = static_cast<std::uint8_t>(p.source);
+        if (p.source != k_.id()) {
+            shard.pending[p.vpn] = p.updated;
+            shard.pending_from[p.vpn] = requester;
+            shard.surrendering.insert(p.vpn);
+            shard.shadow.on_write();
+        }
+        shard.lock.unlock();
     }
 
-    // Batched local capture: every home-held page's PTE change — ownership
-    // revokes and replica downgrades alike — shares one generation bump and
-    // one modeled shootdown (the local_*_range shape). Clears, protects and
-    // the bump share a no-yield window; the copy sleeps land after it
-    // closes (see local_invalidate). Revoked frames are NOT freed here: the
-    // caller frees them after its reply, off the requester's critical path.
-    {
-        WriteGuard guard(site.space().mmap_lock());
-        std::uint32_t changed = 0;
-        for (PushPage& p : work) {
-            if (!p.local) continue;
-            const mem::Pte* pte = site.space().page_table().find(p.page);
-            if (pte == nullptr || !pte->present) {
-                // Our copy is gone despite the directory: munmap's replica
-                // broadcast precedes the directory sweep and is not gated
-                // on the busy bit. The sweep erases the entry later.
-                p.cancelled = true;
-                continue;
-            }
-            if (p.push.exclusive) {
-                p.revoked = site.space().page_table().clear(p.page);
-                invalidations_.inc();
-                ++changed;
-            } else if (p.downgrade && (pte->prot & mem::kProtWrite) != 0) {
-                site.space().page_table().protect(p.page,
-                                                  pte->prot & ~mem::kProtWrite);
-                ++changed;
-            }
-        }
-        if (changed != 0) site.space().bump_tlb_generation();
-        Nanos copy_cost = 0;
-        for (PushPage& p : work) {
-            if (!p.local || p.cancelled) continue;
-            const mem::Paddr frame = p.push.exclusive
-                                         ? p.revoked.paddr
-                                         : site.space().page_table().find(p.page)->paddr;
-            std::memcpy(p.push.data.data(), k_.phys().frame_ptr(frame), mem::kPageSize);
-            copy_cost += k_.costs().page_copy;
-        }
-        if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
-        if (changed != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    }
-    for (PushPage& p : work) {
-        if (p.local && p.cancelled) cancel_claim(p);
-    }
-
-    // Remote byte sources, all in ONE scatter round: an ownership push
-    // invalidates the old owner with want_data, a replica push fetches
-    // (downgrading an Exclusive holder). A serial per-page loop would pay
-    // one round trip per page. A source that died (elastic) or dropped its
-    // copy (racing munmap sweep) cancels that page's push; the requester
-    // demand-faults it later.
-    std::vector<msg::Node::ScatterItem> posts;
-    std::vector<std::size_t> post_page;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        PushPage& p = work[i];
-        if (p.local || p.cancelled) continue;
-        msg::MessagePtr request;
-        if (p.push.exclusive) {
-            invalidations_.inc();
-            request = msg::make_message(msg::MsgType::kPageInvalidate,
-                                        msg::MsgKind::kRequest,
-                                        PageInvalidateReq{site.pid(), p.page, true});
-        } else {
-            fetches_.inc();
-            request = msg::make_message(
-                msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                PageFetchReq{site.pid(), p.page, p.downgrade});
-        }
-        posts.push_back({p.source, std::move(request)});
-        post_page.push_back(i);
-    }
-    if (!posts.empty()) {
-        const auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t j = 0; j < replies.size(); ++j) {
-            PushPage& p = work[post_page[j]];
-            bool have_data = false;
-            if (replies[j] == nullptr) {
-                // source died mid-scatter
-            } else if (p.push.exclusive) {
-                const auto& inv = replies[j]->payload_prefix_as<PageInvalidateResp>();
-                have_data = inv.had_page && inv.data_included;
-                if (have_data) p.push.data = inv.data;
-            } else {
-                const auto& fetched = replies[j]->payload_prefix_as<PageFetchResp>();
-                have_data = fetched.ok;
-                if (have_data) p.push.data = fetched.data;
-            }
-            if (!have_data) cancel_claim(p);
-        }
-    }
-
-    // Elastic: a requester that died while we captured will never confirm.
-    // Nothing ships; every page stays at this home. Replica sources kept
-    // their copies, so releasing the claim is enough. An ownership push
-    // already revoked its source: a local PTE is restored over its own
-    // (never freed) frame, and bytes a remote owner surrendered land in a
-    // fresh frame here, the directory naming this kernel the owner.
-    if (k_.node().peer_dead(requester)) {
-        std::vector<PushPage*> adopted;
-        {
-            WriteGuard guard(site.space().mmap_lock());
-            for (PushPage& p : work) {
-                if (p.cancelled || !p.push.exclusive) continue;
-                if (p.local) {
-                    site.space().page_table().map(p.page, p.revoked.paddr,
-                                                  p.revoked.prot);
-                    continue;
-                }
-                const mem::Paddr frame = k_.frames().alloc();
-                RKO_ASSERT(frame != 0);
-                std::memcpy(k_.phys().frame_ptr(frame), p.push.data.data(),
-                            mem::kPageSize);
-                sim::current_actor().sleep_for(k_.costs().page_copy);
-                site.space().page_table().map(p.page, frame, p.vma_prot);
-                adopted.push_back(&p);
-            }
-        }
-        for (PushPage* p : adopted) {
-            auto& shard = site.dir_shard(p->vpn);
-            shard.lock.lock();
-            auto it = shard.entries.find(p->vpn);
-            RKO_ASSERT(it != shard.entries.end() && it->second.busy);
-            it->second.owner = k_.id();
-            shard.lock.unlock();
-        }
-        for (PushPage& p : work) {
-            if (!p.cancelled) cancel_claim(p);
-        }
-        return 0;
-    }
-
-    // Park pendings and ship. The requester's confirm (kPageInstalled from
-    // on_page_push, success or not) commits or rolls each one back and
-    // releases the busy bit — the standard three-phase shape.
-    const msg::MsgType type = owned ? msg::MsgType::kWorksetPush : msg::MsgType::kPagePush;
     trace::Counter& issued = owned ? workset_pushed_ : prefetch_issued_;
     std::uint32_t pushed = 0;
-    for (PushPage& p : work) {
-        if (p.cancelled) continue;
-        auto& shard = site.dir_shard(p.vpn);
-        shard.lock.lock();
-        RKO_ASSERT(shard.entries.contains(p.vpn));
-        shard.pending[p.vpn] = p.updated;
-        shard.pending_from[p.vpn] = requester;
-        shard.lock.unlock();
+
+    // Home-held pages: one batched capture, each pending parked right
+    // before its push is sent. The requester's confirm (kPageInstalled from
+    // on_page_push, success or not) commits or rolls each one back and
+    // releases the busy bit — the standard three-phase shape. A page that
+    // does not ship (our copy raced a munmap sweep, or the requester was
+    // found dead and the copy restored) keeps its snapshot.
+    std::vector<Capture> local;
+    std::vector<std::size_t> local_page;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        if (work[i].source != k_.id()) continue;
+        local_page.push_back(i);
+        local.push_back({pages[i], work[i].mode});
+    }
+    const std::uint32_t local_shipped = ship_pages(
+        site, local, requester, k_.id(), owned,
+        [&](std::size_t j) {
+            const PushPage& p = work[local_page[j]];
+            auto& shard = site.dir_shard(p.vpn);
+            shard.lock.lock();
+            RKO_ASSERT(shard.entries.contains(p.vpn));
+            shard.pending[p.vpn] = p.updated;
+            shard.pending_from[p.vpn] = requester;
+            shard.lock.unlock();
+        },
+        freed);
+    for (std::size_t j = 0; j < local.size(); ++j) {
+        const PushPage& p = work[local_page[j]];
+        if ((local_shipped & (1u << j)) == 0) {
+            release(p.vpn);
+            continue;
+        }
+        if (p.mode == SurrenderMode::kOwnership) invalidations_.inc();
         issued.inc();
-        k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
-                                                           p.push, wire_bytes(p.push)));
-        if (p.local && p.push.exclusive) freed->push_back(p.revoked.paddr);
         ++pushed;
+    }
+
+    // Remote owners: ONE kPageSurrender per owner, all in one scatter
+    // round. Each owner captures its batch under one shootdown, pushes the
+    // pages straight to the requester (the bytes cross the fabric once) and
+    // answers with the pages it shipped.
+    std::vector<PageSurrenderReq> reqs;
+    std::vector<topo::KernelId> req_source;
+    std::vector<std::vector<std::size_t>> req_page;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const PushPage& p = work[i];
+        if (p.source == k_.id()) continue;
+        const auto at = std::find(req_source.begin(), req_source.end(), p.source);
+        const auto r = static_cast<std::size_t>(at - req_source.begin());
+        if (at == req_source.end()) {
+            PageSurrenderReq req{};
+            req.pid = site.pid();
+            req.requester = requester;
+            req.workset = owned ? 1u : 0u;
+            reqs.push_back(req);
+            req_source.push_back(p.source);
+            req_page.emplace_back();
+        }
+        PageSurrenderReq& req = reqs[r];
+        req.vpn[req.count] = p.vpn;
+        req.mode[req.count] = p.mode;
+        ++req.count;
+        req_page[r].push_back(i);
+        // Counted per page, as the per-page requests they replace were.
+        (p.mode == SurrenderMode::kOwnership ? invalidations_ : fetches_).inc();
+    }
+    if (reqs.empty()) return pushed;
+    std::vector<msg::Node::ScatterItem> posts;
+    for (std::size_t r = 0; r < reqs.size(); ++r) {
+        posts.push_back({req_source[r],
+                         msg::make_message_prefix(msg::MsgType::kPageSurrender,
+                                                  msg::MsgKind::kRequest, reqs[r],
+                                                  wire_bytes(reqs[r]))});
+    }
+    const auto replies = k_.node().rpc_scatter(std::move(posts));
+
+    // Each answered page drops its `surrendering` flag — unless the
+    // requester's confirm already committed it. A shipped page then waits
+    // for its confirm like any other; if the requester was declared dead
+    // meanwhile, its reap skipped the flagged pending, so it is abandoned
+    // here. An unshipped page returns to its snapshot, minus `lost`, an
+    // owner that died before answering.
+    const auto finish = [&](std::uint64_t vpn, bool shipped, topo::KernelId lost) {
+        auto& shard = site.dir_shard(vpn);
+        shard.lock.lock();
+        if (shard.surrendering.erase(vpn) == 0) {
+            shard.lock.unlock();
+            return;
+        }
+        if (!shipped) {
+            shard.pending.erase(vpn);
+            shard.pending_from.erase(vpn);
+            auto it = shard.entries.find(vpn);
+            RKO_ASSERT(it != shard.entries.end() && it->second.busy);
+            it->second.busy = false;
+            if (lost >= 0 && !drop_holder(it->second, lost)) shard.entries.erase(it);
+            shard.busy_wait.notify_all();
+        }
+        shard.shadow.on_write();
+        shard.lock.unlock();
+        if (shipped && k_.node().peer_dead(requester)) {
+            abandon_pending(site, static_cast<mem::Vaddr>(vpn) << mem::kPageShift,
+                            requester);
+        }
+    };
+    for (std::size_t r = 0; r < reqs.size(); ++r) {
+        for (std::size_t k = 0; k < req_page[r].size(); ++k) {
+            const std::uint64_t vpn = work[req_page[r][k]].vpn;
+            if (replies[r] == nullptr) {
+                // The owner was declared dead before it answered, a lease
+                // after its last message: whatever it pushed has long been
+                // confirmed, and an unconfirmed page died with its copy.
+                finish(vpn, /*shipped=*/false, req_source[r]);
+            } else if ((replies[r]->payload_as<PageSurrenderResp>().shipped &
+                        (1u << k)) != 0) {
+                issued.inc();
+                ++pushed;
+                finish(vpn, /*shipped=*/true, -1);
+            } else {
+                // Not shipped: the owner lost its copy to a racing munmap
+                // sweep or saw the requester dead and kept it. Either way
+                // the snapshot stands.
+                finish(vpn, /*shipped=*/false, -1);
+            }
+        }
     }
     return pushed;
 }
@@ -1954,12 +2013,13 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
                                             wire_bytes(req))});
     }
     if (posts.empty()) return;
-    // Each home replies AFTER its pushes on a FIFO channel, so when the
-    // scatter returns every granted page's push is in the leaf pool —
-    // pre-copy behaves as a barrier and the guest resumes into a warm set
-    // (a touch that overtakes an install waits out the busy bit). Dead
-    // homes (null replies) cost nothing; their pages demand-fault once the
-    // membership update re-routes them.
+    // Each home replies only once every granted page's push is sent — its
+    // own down the same FIFO channel, a remote owner's before that owner
+    // answers the home, two wire latencies before the home's reply lands
+    // here — so pre-copy behaves as a barrier and the guest resumes into a
+    // warm set (a touch that overtakes an install waits out the busy bit).
+    // Dead homes (null replies) cost nothing; their pages demand-fault once
+    // the membership update re-routes them.
     k_.node().rpc_scatter(std::move(posts));
 }
 
@@ -2026,10 +2086,11 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     }
     resp.extra_granted = static_cast<std::uint32_t>(grants.size());
     std::vector<mem::Paddr> freed;
-    // Boosted batch (§15): push FIRST, reply last. The channel is FIFO, so
-    // every pushed page is already dispatched to the requester's leaf pool
-    // when the demand reply unblocks the guest; it resumes into a warm
-    // window instead of re-faulting page by page into busy directory
+    // Boosted batch (§15): push FIRST, reply last. Every push is sent
+    // before the reply (a forwarded one by its owner, which answers us
+    // only afterwards), so the window reaches the requester's leaf pool
+    // ahead of the demand reply that unblocks the guest; it resumes into a
+    // warm window instead of re-faulting page by page into busy directory
     // entries while the pushes are still in flight.
     if (boosted && !grants.empty()) {
         push_pages(*site, grants, req.requester, /*owned=*/true, &freed);
@@ -2131,10 +2192,10 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
         if (found) {
             PageFaultResp resp{};
             resp.status = FaultStatus::kOk;
-            resp.data_included = push.data_included;
+            resp.data_included = true;
             resp.upgrade = false;
             resp.source = push.source;
-            if (push.data_included) resp.data = push.data;
+            resp.data = push.data;
             // An ownership push maps writable (install_locally still clips
             // to the replica VMA's rights).
             const std::uint32_t access =
@@ -2143,8 +2204,9 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
         }
     }
     // ALWAYS confirm — success or not — or the home's busy bit leaks and
-    // every later fault on the page hangs.
-    k_.node().send(m->hdr.src,
+    // every later fault on the page hangs. The confirm goes to the page's
+    // home, which is not the sender when a remote owner forwarded the page.
+    k_.node().send(push.home,
                    msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
                                      PageInstalledMsg{push.pid, push.va, k_.id(),
                                                       installed}));
@@ -2154,6 +2216,29 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
     trace::Counter& outcome = installed ? (workset ? workset_hit_ : prefetch_hit_)
                                         : (workset ? workset_wasted_ : prefetch_wasted_);
     outcome.inc();
+}
+
+void PageOwner::on_page_surrender(msg::Node& node, msg::MessagePtr m) {
+    const auto& req = m->payload_prefix_as<PageSurrenderReq>();
+    PageSurrenderResp resp{};
+    std::vector<mem::Paddr> freed;
+    if (k_.has_site(req.pid)) {
+        // `count` is wire-supplied: never read past the arrays.
+        std::vector<Capture> batch(std::min(req.count, PageSurrenderReq::kMaxPages));
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            batch[i].page = static_cast<mem::Vaddr>(req.vpn[i]) << mem::kPageShift;
+            batch[i].mode = req.mode[i];
+        }
+        // The same capture and sends the home runs for the pages it holds;
+        // the confirms go to the home, not to us.
+        resp.shipped = ship_pages(k_.site(req.pid), batch, req.requester, m->hdr.src,
+                                  req.workset != 0, nullptr, &freed);
+    }
+    node.reply(*m, msg::make_message(msg::MsgType::kPageSurrender,
+                                     msg::MsgKind::kReply, resp));
+    // Revoked frames go back to the allocator only now (see
+    // on_page_fault_batch).
+    for (const mem::Paddr frame : freed) k_.frames().free(frame);
 }
 
 void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
@@ -2168,9 +2253,10 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
         const auto grants = claim_pages(site, {req.vpn.data(), count}, req.requester);
         resp.granted = push_pages(site, grants, req.requester, /*owned=*/true, &freed);
     }
-    // Reply AFTER the pushes: the channel is FIFO, so by the time the
-    // puller's scatter completes every granted kWorksetPush has already
-    // been dispatched to its leaf pool — the pull round is a barrier.
+    // Reply AFTER the pushes: ours went down this FIFO channel and every
+    // owner sent its forwarded ones before answering us, so every granted
+    // kWorksetPush reaches the puller ahead of this reply — the pull round
+    // is a barrier.
     node.reply(*m, msg::make_message(msg::MsgType::kWorksetPull,
                                      msg::MsgKind::kReply, resp));
     // Revoked frames are freed after the reply (see on_page_fault_batch).

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -52,8 +53,8 @@ public:
 
     /// Registers kPageFault / kPageFaultBatch / kHomeRangeOp / kWorksetPull
     /// (blocking), kPageFetch / kPageInvalidate / kPageInvalidateRange /
-    /// kPageInstalled / kHomeRebuild (leaf), and kPagePush + kWorksetPush
-    /// (leaf, one handler: on_page_push).
+    /// kPageInstalled / kHomeRebuild / kPageSurrender (leaf), and kPagePush
+    /// + kWorksetPush (leaf, one handler: on_page_push).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -79,9 +80,9 @@ public:
     /// Post-resume pre-copy pull (runs on the migrated guest's actor):
     /// drains t.pending_workset in ONE rpc_scatter of kWorksetPull rounds,
     /// one per home; when it returns every granted page's push has been
-    /// dispatched here (its install may still be running on a leaf
-    /// worker). Pages homed here, and pulls to homes that died mid-round,
-    /// simply demand-fault later.
+    /// sent here, by its home or straight from its remote owner (its
+    /// dispatch and install may still be in flight). Pages homed here, and
+    /// pulls to homes that died mid-round, simply demand-fault later.
     void workset_prefault(ProcessSite& site, task::Task& t);
 
     /// TEST-ONLY fault injection: write transactions skip one victim's
@@ -242,20 +243,50 @@ private:
     // validates each VPN against this home's VMA tree under one ReadGuard
     // and try-claims the busy bits of the pages it may push (skipping
     // absent, busy, requester-held and not-homed-here entries). push_pages
-    // then moves every claimed page to the requester: home-held captures
-    // share one generation bump and one modeled shootdown, remote sources
-    // answer in one scatter round, and pushes park the ordinary pending
-    // state for the requester's confirm to commit. With `owned`, an
-    // Exclusive page in a writable VMA moves OWNED (its old holder is
-    // invalidated with data) and ships as kWorksetPush; otherwise every
-    // page ships as a read-only replica (kPagePush), an Exclusive holder
-    // being downgraded like a read fault would. Frames the home revoked are
-    // appended to `freed` for the caller to free after its reply.
+    // then moves every claimed page to the requester: the pages this home
+    // holds are captured in one batch (capture_pages) and pushed from here;
+    // each remote owner gets ONE kPageSurrender for its pages, captures
+    // them with the same capture_pages and pushes them straight to the
+    // requester. Every push parks the ordinary pending state for the
+    // requester's confirm to commit. With `owned`, an Exclusive page in a
+    // writable VMA moves OWNED (its old holder's copy is revoked) and ships
+    // as kWorksetPush; otherwise every page ships as a read-only replica
+    // (kPagePush), an Exclusive holder being downgraded like a read fault
+    // would. Frames this home revoked are appended to `freed` for the
+    // caller to free after its reply.
     std::vector<mem::Vaddr> claim_pages(ProcessSite& site,
                                         std::span<const std::uint64_t> vpns,
                                         topo::KernelId requester);
     std::uint32_t push_pages(ProcessSite& site, const std::vector<mem::Vaddr>& pages,
                              topo::KernelId requester, bool owned,
+                             std::vector<mem::Paddr>* freed);
+
+    /// One page of a batched capture: what to do with this kernel's copy
+    /// and where its bytes go.
+    struct Capture {
+        mem::Vaddr page = 0;
+        SurrenderMode mode = SurrenderMode::kReplica;
+        std::byte* out = nullptr;
+        bool captured = false; ///< the copy was present; its bytes are in *out
+        mem::Pte revoked{};    ///< kOwnership: the cleared PTE (frame not freed)
+    };
+    /// Captures this kernel's copies of a batch of pages under ONE mmap
+    /// write guard: ownership revokes the PTE, downgrade strips write,
+    /// replica leaves it; one generation bump, one accumulated copy charge,
+    /// one modeled shootdown.
+    void capture_pages(ProcessSite& site, std::span<Capture> batch);
+    /// Captures `batch` (capture_pages) and pushes each captured page to
+    /// `requester` as kWorksetPush (`workset`) or kPagePush, its confirm
+    /// addressed to `home`; `before_send(i)`, if set, runs right before
+    /// page i is sent. Pages are never sent to a requester seen dead: their
+    /// copies are restored instead (a revoked PTE re-mapped over its own
+    /// frame). Returns the mask of pages shipped and
+    /// appends their revoked frames to `freed`, for the caller to free after
+    /// its reply. The home runs it for the pages it holds, a remote owner
+    /// for the pages it surrenders.
+    std::uint32_t ship_pages(ProcessSite& site, std::span<Capture> batch,
+                             topo::KernelId requester, topo::KernelId home, bool workset,
+                             const std::function<void(std::size_t)>& before_send,
                              std::vector<mem::Paddr>* freed);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
@@ -271,6 +302,9 @@ private:
     /// kPagePush and kWorksetPush: install the pushed page, ALWAYS confirm,
     /// and count the outcome under the wire type's hit/wasted pair.
     void on_page_push(msg::Node& node, msg::MessagePtr m);
+    /// Remote owner side of push_pages: capture, forward, reply with the
+    /// mask of pages shipped.
+    void on_page_surrender(msg::Node& node, msg::MessagePtr m);
     void on_workset_pull(msg::Node& node, msg::MessagePtr m);
 
     kernel::Kernel& k_;

@@ -12,6 +12,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "rko/mem/addrspace.hpp"
 #include "rko/race/race.hpp"
@@ -103,6 +104,11 @@ public:
         /// straggling confirm from a reaped requester is recognized as
         /// stale (rko/elastic).
         std::unordered_map<std::uint64_t, topo::KernelId> pending_from;
+        /// Pendings parked for a page a remote owner is still surrendering
+        /// (kPageSurrender in flight): the requester's confirm commits one
+        /// as usual, but only the surrendering transaction rolls one back,
+        /// once the owner says whether it shipped the page.
+        std::unordered_set<std::uint64_t> surrendering;
         /// Busy-release broadcast: transactions blocked on a busy entry
         /// wait here and re-look-up after every release. Shard-level (not
         /// per-entry) so erasing an entry can never strand parked waiters.

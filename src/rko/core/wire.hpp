@@ -166,32 +166,72 @@ struct PageFaultBatchReq {
 static_assert(sizeof(PageFaultBatchReq) == 32,
               "workset flag must fill the padding hole");
 
-/// The faulting page's result plus how many pushes share the
-/// home->requester channel with it (after it when streaming, before it
-/// when boosted). The data array sits last (inside `first`) so
-/// dataless outcomes truncate like a plain PageFaultResp.
+/// The faulting page's result plus how many window pages the home claimed
+/// to push (after the reply when streaming, before it when boosted). The
+/// data array sits last (inside `first`) so dataless outcomes truncate like
+/// a plain PageFaultResp.
 struct PageFaultBatchResp {
     std::uint32_t extra_granted;
     PageFaultResp first;
 };
 
-/// Origin -> requester: one pushed page. The requester installs it and
-/// confirms with kPageInstalled (the normal third leg), so the directory
-/// commits or rolls back the parked transaction exactly as for a demand
-/// fault. A replica push maps read-only; an ownership push (`exclusive`,
-/// workset pushes only — DESIGN.md §15) maps writable, because the home
-/// already invalidated every other copy.
+/// Home or remote owner -> requester: one pushed page. The requester
+/// installs it and confirms with kPageInstalled (the normal third leg) to
+/// `home`, so the directory commits or rolls back the parked transaction
+/// exactly as for a demand fault. Pages the home holds itself ship from the
+/// home; a remote owner's pages are forwarded by that owner straight to the
+/// requester (kPageSurrender), so each page crosses the fabric once. A
+/// replica push maps read-only; an ownership push (`exclusive`, workset
+/// pushes only — DESIGN.md §15) maps writable, because every other copy was
+/// already invalidated.
 struct PagePushMsg {
     Pid pid;
     mem::Vaddr va;
-    bool data_included;
+    /// The page's directory home, which the confirm goes to. Occupies the
+    /// byte of a data_included flag every push set, so the wire size (and
+    /// every push's modeled copy cost) is unchanged.
+    std::uint8_t home;
     /// Ownership push: the directory parks Exclusive at the requester.
-    /// Occupies the byte a never-used zero_fill flag held, so the wire size
-    /// (and every fault-around push's modeled copy cost) is unchanged.
     bool exclusive;
     std::uint8_t source; ///< kernel that supplied the bytes (affinity)
     std::array<std::byte, mem::kPageSize> data;
 };
+static_assert(offsetof(PagePushMsg, data) == 19, "push wire size must not change");
+
+/// What a remote owner does with each page of a kPageSurrender: the
+/// transitions the requester's own faults would make (DESIGN.md §15).
+enum class SurrenderMode : std::uint8_t {
+    kReplica = 0,   ///< Shared copy: ship the bytes, keep the copy
+    kDowngrade = 1, ///< Exclusive, replica push: strip write, keep the copy
+    kOwnership = 2, ///< Exclusive, ownership push: revoke the copy, ship it
+};
+
+/// Home -> remote owner (kPageSurrender, leaf): the home claimed these
+/// pages for `requester` and parked their pending states. The owner
+/// captures the whole batch under one mmap write guard (one generation
+/// bump, one shootdown), pushes each page straight to the requester as a
+/// one-page kWorksetPush (`workset`) or kPagePush, and replies with the
+/// pages it shipped. An owner that finds the requester dead keeps its
+/// copies and ships nothing. Truncated on the wire to the VPNs carried.
+struct PageSurrenderReq {
+    static constexpr std::uint32_t kMaxPages = 32;
+    Pid pid;
+    topo::KernelId requester;
+    std::uint32_t workset; ///< nonzero: ship as kWorksetPush, else kPagePush
+    std::uint32_t count;
+    std::array<SurrenderMode, kMaxPages> mode;
+    std::array<std::uint64_t, kMaxPages> vpn;
+};
+
+inline std::size_t wire_bytes(const PageSurrenderReq& r) {
+    return offsetof(PageSurrenderReq, vpn) +
+           static_cast<std::size_t>(r.count) * sizeof(std::uint64_t);
+}
+
+struct PageSurrenderResp {
+    std::uint32_t shipped; ///< bit i: vpn[i] was pushed to the requester
+};
+static_assert(PageSurrenderReq::kMaxPages <= 32, "shipped is a 32-bit mask");
 
 // --- Size-on-wire helpers ---------------------------------------------------
 //
@@ -217,8 +257,9 @@ inline std::size_t wire_bytes(const PageFetchResp& r) {
 inline std::size_t wire_bytes(const PageInvalidateResp& r) {
     return offsetof(PageInvalidateResp, data) + (r.data_included ? mem::kPageSize : 0);
 }
-inline std::size_t wire_bytes(const PagePushMsg& r) {
-    return offsetof(PagePushMsg, data) + (r.data_included ? mem::kPageSize : 0);
+/// Every push carries its page; only the struct's tail padding is not sent.
+inline std::size_t wire_bytes(const PagePushMsg&) {
+    return offsetof(PagePushMsg, data) + mem::kPageSize;
 }
 inline std::size_t wire_bytes(const PageFaultBatchResp& r) {
     return offsetof(PageFaultBatchResp, first) + wire_bytes(r.first);
@@ -351,9 +392,10 @@ struct MigrateResp {
 /// Destination -> home (kWorksetPull, blocking): after a migrated thread
 /// resumes, it asks each home for the shipped hot pages that home serves.
 /// The home try-claims what it can (the claim order at the top of
-/// core/page_owner.cpp), pushes each granted page as kWorksetPush, then
-/// replies with the granted count. Truncated on the wire to the VPNs
-/// actually carried.
+/// core/page_owner.cpp), pushes the pages it holds itself as kWorksetPush,
+/// has each remote owner forward its pages (one kPageSurrender per owner),
+/// and replies once every owner has answered. Truncated on the wire to the
+/// VPNs actually carried.
 struct WorksetPullReq {
     Pid pid;
     topo::KernelId requester;
@@ -367,7 +409,7 @@ inline std::size_t wire_bytes(const WorksetPullReq& r) {
 }
 
 struct WorksetPullResp {
-    std::uint32_t granted; ///< pushes that will follow down the channel
+    std::uint32_t granted; ///< pushes already sent, by the home or an owner
 };
 
 enum class GroupUpdateKind : std::uint32_t { kJoin = 0, kLocation };

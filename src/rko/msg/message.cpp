@@ -38,6 +38,7 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kHomeRebuild: return "home_rebuild";
     case MsgType::kWorksetPull: return "workset_pull";
     case MsgType::kWorksetPush: return "workset_push";
+    case MsgType::kPageSurrender: return "page_surrender";
     case MsgType::kCount: break;
     }
     return "unknown";

@@ -56,7 +56,7 @@ enum class MsgType : std::uint16_t {
     // Coherence batching & fault-around prefetch (core/page_owner, §10)
     kPageInvalidateRange, ///< directory -> holder: drop/downgrade a VPN batch (leaf)
     kPageFaultBatch,    ///< remote fault upgraded to a multi-page window (blk)
-    kPagePush,          ///< origin -> requester: one prefetched page (leaf)
+    kPagePush,          ///< home or owner -> requester: one prefetched page (leaf)
     // Elastic membership (elastic/)
     kMembershipUpdate,  ///< membership event broadcast: dead/parted/join (nb)
     kElasticEvict,      ///< drain: evict a parting holder's page copies (blk)
@@ -65,7 +65,8 @@ enum class MsgType : std::uint16_t {
     kHomeRebuild,       ///< new shard owner -> survivor: PTE census chunk (leaf)
     // Working-set migration (core/migration + core/page_owner, §15)
     kWorksetPull,       ///< migrated thread -> home: push my shipped hot pages (blk)
-    kWorksetPush,       ///< home -> destination: one pre-copied page (leaf)
+    kWorksetPush,       ///< home or owner -> destination: one pre-copied page (leaf)
+    kPageSurrender,     ///< home -> remote owner: capture a batch, push it on (leaf)
     kCount
 };
 

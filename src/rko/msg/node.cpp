@@ -38,13 +38,10 @@ void Node::spawn_workers(Pool& pool, int count, const char* tag) {
     }
 }
 
-void Node::register_handler(MsgType type, HandlerClass handler_class, Handler handler,
-                            bool jump_queue) {
+void Node::register_handler(MsgType type, HandlerClass handler_class, Handler handler) {
     auto& entry = handlers_[static_cast<std::size_t>(type)];
     RKO_ASSERT_MSG(!entry.registered, "handler registered twice");
-    RKO_ASSERT_MSG(!jump_queue || handler_class == HandlerClass::kLeaf,
-                   "only leaf handlers can jump the queue");
-    entry = HandlerEntry{std::move(handler), handler_class, true, jump_queue};
+    entry = HandlerEntry{std::move(handler), handler_class, true};
 }
 
 void Node::attach_inbound(Channel& channel) {
@@ -398,11 +395,7 @@ void Node::route(MessagePtr message) {
         return;
     }
     case HandlerClass::kLeaf:
-        if (entry.jump_queue) {
-            leaf_pool_.queue.push_front(std::move(message));
-        } else {
-            leaf_pool_.queue.push_back(std::move(message));
-        }
+        leaf_pool_.queue.push_back(std::move(message));
         leaf_pool_.idle.notify_one();
         return;
     case HandlerClass::kBlocking:

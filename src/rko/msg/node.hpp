@@ -9,9 +9,7 @@
 //     locks that can park, no awaits. (Replies are always completed inline.)
 //   - LEAF handlers run on a dedicated leaf-worker pool. They may take
 //     local kernel locks (whose holders never await — see the lock rule)
-//     and reply(), but must never rpc(). A leaf type registered with
-//     `jump_queue` (short control requests on a timeout, like kSteal) is
-//     queued ahead of the pool's backlog instead of behind it.
+//     and reply(), but must never rpc().
 //   - BLOCKING handlers run on the kworker pool and may rpc(), but only to
 //     INLINE or LEAF handlers. Wait chains therefore have depth one, every
 //     chain terminates in a handler that only waits on local locks whose
@@ -67,12 +65,7 @@ public:
     const topo::CostModel& costs() const { return costs_; }
 
     /// Registers the handler for a message type. Must precede start().
-    /// `jump_queue` (leaf only) queues each message at the FRONT of the
-    /// leaf pool: a per-page coherence burst can hold dozens of leaf
-    /// requests, and a control request waiting behind it outlives its
-    /// caller's timeout.
-    void register_handler(MsgType type, HandlerClass handler_class, Handler handler,
-                          bool jump_queue = false);
+    void register_handler(MsgType type, HandlerClass handler_class, Handler handler);
 
     /// Wires an inbound channel (called by Fabric) and returns the doorbell
     /// the channel should ring on delivery.
@@ -228,7 +221,6 @@ private:
         Handler fn;
         HandlerClass handler_class = HandlerClass::kInline;
         bool registered = false;
-        bool jump_queue = false;
     };
     std::array<HandlerEntry, kNumMsgTypes> handlers_{};
 

@@ -3,15 +3,19 @@
 // Behavioural coverage: threshold-push drains an overloaded kernel,
 // idle-steal converges a skewed burst to near-SMP makespan, affinity chases
 // a thread's page-owner kernel, hysteresis bounds balancer moves on a
-// two-kernel tug-of-war, same-seed runs are bit-identical, and a balancer
-// doorbell storm never leaves the tick actor a stale wake-up permit.
+// two-kernel tug-of-war, same-seed runs are bit-identical, a balancer
+// doorbell storm never leaves the tick actor a stale wake-up permit, and a
+// steal meets its timeout while the victim surrenders a working set.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
 #include "rko/api/machine.hpp"
 #include "rko/core/page_owner.hpp"
+#include "rko/core/wire.hpp"
+#include "rko/kernel/kernel.hpp"
 
 namespace rko::api {
 namespace {
@@ -218,6 +222,78 @@ TEST(Balance, DoorbellStormLeavesNoStalePermit) {
         process.check_all_joined();
         EXPECT_EQ(done, static_cast<std::uint64_t>(kThreads)) << "seed=" << seed;
     }
+}
+
+// kSteal shares the leaf queue with page traffic, first come first served.
+// A migrating writer's pull has the home send its source ONE kPageSurrender
+// for the whole working set, not a burst of per-page invalidates, so a
+// steal sent to the source the moment that surrender is dispatched there is
+// answered before the surrender completes, well inside the thief's 2-period
+// timeout.
+TEST(Balance, StealDuringSurrenderMeetsItsTimeout) {
+    constexpr int kPages = 32;
+    // A long period: no tick decays the writer's tracker mid-dirtying, so
+    // all 32 pages ship.
+    MachineConfig config = balance_config(8, 4, balance::Policy::kIdleSteal);
+    config.balance.period = 1_ms;
+    const Nanos timeout = 2 * config.balance.period;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize, p);
+            }
+            g.migrate(2);
+        },
+        1);
+    msg::RpcStatus status = msg::RpcStatus::kTimeout;
+    Nanos latency = -1;
+    std::uint64_t surrender_replies = ~0ull;
+    sim::Actor thief(machine.engine(), "thief", [&](sim::Actor& self) {
+        msg::Node& victim = machine.kernel(1).node();
+        for (Nanos waited = 0; victim.dispatched(msg::MsgType::kPageSurrender) == 0;
+             waited += 100) {
+            if (waited > 5_ms) return; // no surrender: fail below
+            self.sleep_for(100);
+        }
+        const Nanos t0 = self.now();
+        const auto reply = machine.kernel(3).node().rpc_timed(
+            1,
+            msg::make_message(msg::MsgType::kSteal, msg::MsgKind::kRequest,
+                              core::StealReq{3, 0}),
+            timeout, &status);
+        latency = self.now() - t0;
+        surrender_replies = machine.kernel(0).node().dispatched(msg::MsgType::kPageSurrender);
+        (void)reply;
+    });
+    thief.start();
+    machine.run();
+    process.check_all_joined();
+    // The pull skips pages homed at the destination k2; every other home
+    // but the source itself sends k1 one surrender (with one shard: the
+    // origin k0 sends one for all 32 pages).
+    std::uint64_t pulled = 0;
+    topo::KernelMask surrendering_homes = 0;
+    for (int p = 0; p < kPages; ++p) {
+        const topo::KernelId home = machine.kernel(0).home_map().home_of(
+            process.pid(), 0, mem::vpn_of(buf + static_cast<Vaddr>(p) * kPageSize));
+        if (home == 2) continue;
+        ++pulled;
+        if (home != 1) surrendering_homes |= topo::kbit(home);
+    }
+    EXPECT_EQ(machine.kernel(1).node().dispatched(msg::MsgType::kPageSurrender),
+              static_cast<std::uint64_t>(std::popcount(surrendering_homes)));
+    auto metrics = machine.collect_metrics();
+    EXPECT_EQ(counter_value(metrics, "migration.workset.pushed"), pulled);
+    EXPECT_EQ(status, msg::RpcStatus::kOk);
+    EXPECT_GE(latency, 0);
+    EXPECT_LT(latency, timeout);
+    // Answered while the surrenders were still being served: no reply had
+    // reached the home k0 yet.
+    EXPECT_EQ(surrender_replies, 0u);
 }
 
 } // namespace

@@ -155,6 +155,7 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("join_storm"), nullptr);
     EXPECT_NE(check::find_scenario("home_storm"), nullptr);
     EXPECT_NE(check::find_scenario("migrate_ownership_race"), nullptr);
+    EXPECT_NE(check::find_scenario("surrender_kill"), nullptr);
     EXPECT_EQ(check::find_scenario("no_such_scenario"), nullptr);
 }
 

@@ -6,11 +6,13 @@
 // waiters registered to a corpse are dequeued so later wakes reach the
 // survivors; drain evacuates every thread and hands page copies home with
 // their data intact; a deferred-boot kernel hot-joins and steals work
-// within a balance period. Every test runs with the invariant audits on,
+// within a balance period; a kill landing mid-instantiation of a migrant
+// never wedges the corpse's drain. Every test runs with the invariant audits on,
 // so the elastic.* family enforces the membership postconditions too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -248,6 +250,66 @@ TEST(Elastic, HotJoinStealsWorkOntoNewKernel) {
     EXPECT_EQ(counter_value(metrics, "elastic.joins"), 1u);
     // The joiner itself pulled threads off the overloaded kernel.
     EXPECT_GE(counter_value(machine.kernel(3).metrics(), "balance.steals"), 1u);
+}
+
+// A kill landing while the destination instantiates a migrating thread.
+// on_migrate yields in its clone cost, its context unpack and its location
+// update to the origin; a kill in any of them drops the reply, so the
+// thread stays on the source. The half-born record on the corpse must be
+// retired there, or the corpse's drain waits forever for a thread that
+// never arrives. An unkilled probe run finds the window — from k2's
+// dispatcher taking the kMigrate to the origin receiving the location
+// update — and the sweep kills k2 every 100 ns across it, requiring every
+// run to quiesce with the mover finished.
+TEST(Elastic, KillDuringMigrationInstantiationRetiresTheRecord) {
+    Process* process = nullptr;
+    const auto make = [&process] {
+        auto machine = std::make_unique<Machine>(elastic_config(8, 4));
+        process = &machine->create_process(0);
+        process->spawn(
+            [](Guest& g) {
+                g.compute(200_us); // past the lease warm-up
+                g.migrate(2);
+                g.compute(50_us);
+            },
+            1);
+        // k2 announces itself (a peer never heard from has no lease), and
+        // the origin's failure detector keeps ticking past the kill.
+        process->spawn([](Guest& g) { g.compute(150_us); }, 2);
+        process->spawn([](Guest& g) { g.compute(1_ms); }, 0);
+        return machine;
+    };
+    // run_until leaves now() at the last event, so step a deadline.
+    const auto run_until_dispatched = [](Machine& m, topo::KernelId k, msg::MsgType type,
+                                         Nanos from) {
+        const std::uint64_t before = m.kernel(k).node().dispatched(type);
+        Nanos t = from;
+        while (m.kernel(k).node().dispatched(type) == before && t < 1_ms) {
+            t += 100;
+            m.run_until(t);
+        }
+        return t;
+    };
+    auto probe = make();
+    const Nanos arrive = run_until_dispatched(*probe, 2, msg::MsgType::kMigrate, 0);
+    const Nanos located = run_until_dispatched(*probe, 0, msg::MsgType::kGroupUpdate, arrive);
+    ASSERT_LT(located, 1_ms) << "the migration never completed";
+    probe->run();
+    for (Nanos kill_at = arrive - 100; kill_at <= located; kill_at += 100) {
+        auto machine = make();
+        machine->run_until(kill_at);
+        machine->kill_kernel(2);
+        machine->run_until(kill_at + 3_ms);
+        if (machine->kernel(2).live_task_count() != 0) {
+            ADD_FAILURE() << "k2's drain wedged on a half-born record, kill_at="
+                          << kill_at;
+            // Tearing the machine down would wait on that drain forever.
+            (void)machine.release();
+            return;
+        }
+        machine->run();
+        process->check_all_joined();
+    }
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 // rides along because migration arrival owns both resets.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -44,13 +46,31 @@ std::uint64_t remote_faults(Machine& machine) {
     return n;
 }
 
-/// The directory entry for `va` at its (unsharded) home, the origin k0.
+/// The kernel homing `va`'s directory entry, as the home map names it (the
+/// origin k0 with one shard). Every process here is created on k0.
+topo::KernelId home_of(Machine& machine, Pid pid, Vaddr va) {
+    return machine.kernel(0).home_map().home_of(pid, 0, mem::vpn_of(va));
+}
+
+/// The directory entry for `va` at its home.
 core::PageDirEntry dir_entry(Machine& machine, Pid pid, Vaddr va) {
     const std::uint64_t vpn = mem::vpn_of(va);
-    auto& shard = machine.kernel(0).site(pid).dir_shard(vpn);
+    auto& shard = machine.kernel(home_of(machine, pid, va)).site(pid).dir_shard(vpn);
     const auto it = shard.entries.find(vpn);
     EXPECT_NE(it, shard.entries.end()) << "no directory entry for va " << va;
     return it == shard.entries.end() ? core::PageDirEntry{} : it->second;
+}
+
+/// Pages of the `pages`-page buffer at `buf` a pull to `dest` ships: the
+/// pull skips pages homed at the destination (their faults never cross the
+/// fabric), so with one shard that is every page.
+std::uint64_t pulled_pages(Machine& machine, Pid pid, Vaddr buf, int pages,
+                           topo::KernelId dest) {
+    std::uint64_t n = 0;
+    for (int p = 0; p < pages; ++p) {
+        n += home_of(machine, pid, buf + static_cast<Vaddr>(p) * kPageSize) != dest;
+    }
+    return n;
 }
 
 const mem::Pte* pte_at(Machine& machine, topo::KernelId k, Pid pid, Vaddr va) {
@@ -278,12 +298,75 @@ TEST(WorksetMigration, OwnershipPushMakesRetouchWritesLocal) {
             EXPECT_NE(dst->prot & mem::kProtWrite, 0u);
         }
         auto metrics = machine.collect_metrics();
-        EXPECT_EQ(counter_value(metrics, "migration.workset.pushed"),
-                  static_cast<std::uint64_t>(kPages));
-        EXPECT_EQ(counter_value(metrics, "migration.workset.hit"),
-                  static_cast<std::uint64_t>(kPages));
+        const std::uint64_t pulled = pulled_pages(machine, process.pid(), buf, kPages, 2);
+        EXPECT_EQ(counter_value(metrics, "migration.workset.pushed"), pulled);
+        EXPECT_EQ(counter_value(metrics, "migration.workset.hit"), pulled);
         expect_frames_balanced(machine, process.pid(), 0);
     }
+}
+
+// A 32-page pull from a remote owner costs that owner ONE TLB-generation
+// bump — one batched capture under one shootdown — however many pages it
+// gives up, and each page crosses the fabric once, owner -> requester: the
+// home -> requester channel carries no 4 KiB message. Invalidations are
+// still counted per page. With sharded homes each home of the buffer (other
+// than the destination, whose pages are not pulled) costs the owner one
+// bump: its own capture when the owner is the home, else one surrender.
+TEST(WorksetMigration, RemoteOwnerSurrendersPullInOneShootdown) {
+    constexpr int kPages = 32;
+    constexpr topo::KernelId kOwner = 1;
+    constexpr topo::KernelId kDest = 2;
+    Machine machine(smp::popcorn_config(8, 4));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    std::uint64_t bumps = 0;
+    std::array<std::uint64_t, 4> to_dest{}; // bytes each kernel sent k2 during the pull
+    process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       0x6000u + static_cast<std::uint64_t>(p));
+            }
+            const mem::AddressSpace& owner =
+                machine.kernel(kOwner).site(process.pid()).space();
+            const std::uint64_t gen0 = owner.tlb_generation();
+            for (topo::KernelId k = 0; k < 4; ++k) {
+                if (k != kDest) to_dest[k] = machine.fabric().channel(k, kDest).bytes_sent();
+            }
+            g.migrate(kDest); // returns once the pull round is answered
+            bumps = owner.tlb_generation() - gen0;
+            for (topo::KernelId k = 0; k < 4; ++k) {
+                if (k != kDest) {
+                    to_dest[k] = machine.fabric().channel(k, kDest).bytes_sent() - to_dest[k];
+                }
+            }
+            for (int p = 0; p < kPages; ++p) {
+                EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize),
+                          0x6000u + static_cast<std::uint64_t>(p));
+            }
+        },
+        kOwner);
+    machine.run();
+    process.check_all_joined();
+    topo::KernelMask homes = 0;
+    for (int p = 0; p < kPages; ++p) {
+        const topo::KernelId home =
+            home_of(machine, process.pid(), buf + static_cast<Vaddr>(p) * kPageSize);
+        if (home != kDest) homes |= topo::kbit(home);
+    }
+    EXPECT_EQ(bumps, static_cast<std::uint64_t>(std::popcount(homes)));
+    for (topo::KernelId k = 0; k < 4; ++k) {
+        if ((homes & topo::kbit(k)) == 0 || k == kOwner) continue;
+        EXPECT_LT(to_dest[k], kPageSize) << "home k" << k << " relayed page bytes";
+    }
+    const std::uint64_t pulled = pulled_pages(machine, process.pid(), buf, kPages, kDest);
+    EXPECT_GE(to_dest[kOwner], pulled * kPageSize);
+    auto metrics = machine.collect_metrics();
+    EXPECT_EQ(counter_value(metrics, "migration.workset.pushed"), pulled);
+    EXPECT_EQ(counter_value(metrics, "migration.workset.hit"), pulled);
+    EXPECT_EQ(counter_value(metrics, "pages.invalidations"), pulled);
+    expect_frames_balanced(machine, process.pid(), 0);
 }
 
 // Pages a second kernel also reads are Shared when the writer migrates:
@@ -320,7 +403,7 @@ TEST(WorksetMigration, SharedPagesStayReplicas) {
     EXPECT_EQ(sum, kPages * 0x4000u + kPages * (kPages - 1) / 2);
     auto metrics = machine.collect_metrics();
     EXPECT_GE(counter_value(metrics, "migration.workset.hit"),
-              static_cast<std::uint64_t>(kPages));
+              pulled_pages(machine, process.pid(), buf, kPages, 2));
     EXPECT_EQ(counter_value(metrics, "migration.workset.wasted"), 0u);
     for (int p = 0; p < kPages; ++p) {
         const Vaddr a = buf + static_cast<Vaddr>(p) * kPageSize;
@@ -360,13 +443,20 @@ TEST(WorksetMigration, ReadOnlyVmaPushedAsReplica) {
     process.check_all_joined();
     auto metrics = machine.collect_metrics();
     EXPECT_EQ(counter_value(metrics, "migration.workset.hit"),
-              static_cast<std::uint64_t>(kPages));
+              pulled_pages(machine, process.pid(), buf, kPages, 2));
     for (int p = 0; p < kPages; ++p) {
         const Vaddr a = buf + static_cast<Vaddr>(p) * kPageSize;
         const core::PageDirEntry e = dir_entry(machine, process.pid(), a);
+        EXPECT_NE(pte_at(machine, 1, process.pid(), a), nullptr) << "page " << p;
+        if (home_of(machine, process.pid(), a) == 2) {
+            // Not pulled: the reader's ownership stays where it was.
+            EXPECT_EQ(e.state, core::PageDirEntry::State::kExclusive) << "page " << p;
+            EXPECT_EQ(e.owner, 1) << "page " << p;
+            EXPECT_EQ(pte_at(machine, 2, process.pid(), a), nullptr) << "page " << p;
+            continue;
+        }
         EXPECT_EQ(e.state, core::PageDirEntry::State::kShared);
         EXPECT_TRUE(e.holds(1) && e.holds(2)) << "page " << p;
-        EXPECT_NE(pte_at(machine, 1, process.pid(), a), nullptr) << "page " << p;
         EXPECT_NE(pte_at(machine, 2, process.pid(), a), nullptr) << "page " << p;
     }
 }
@@ -376,18 +466,22 @@ TEST(WorksetMigration, ReadOnlyVmaPushedAsReplica) {
 struct KillRun {
     std::vector<std::uint64_t> values;
     std::vector<bool> at_dest; ///< page mapped at k2 when the writer finished
-    std::vector<bool> at_home; ///< page mapped at the home k0 after the kill
+    std::vector<bool> at_source; ///< page still mapped at the source after the kills
 };
 
 /// After a lease warm-up, a writer on `source` dirties kPages and migrates
-/// to `dest`; the home k0 pulls them from the source in one scatter of
-/// want_data invalidates (about t=307-348us). The `kills` land in order;
+/// to `dest`; the home k0 has the source surrender them in one
+/// kPageSurrender, whose pushes leave the source from about t=316us. The
+/// `kills` land in order;
 /// afterwards a reader on the surviving origin re-faults every page. The balance period (which
 /// also halves the tracker's heat each tick) is long enough that the whole
 /// dirtying pass lands between two ticks, so every page ships.
 struct Kill {
     topo::KernelId victim;
     Nanos at;
+    /// A survivor whose failure detector fires at the kill itself; every
+    /// other kernel learns of the death a lease later. -1: none.
+    topo::KernelId seen_by = -1;
 };
 
 KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
@@ -408,7 +502,7 @@ KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
     Vaddr buf = 0;
     KillRun r;
     r.at_dest.assign(kPages, false);
-    r.at_home.assign(kPages, false);
+    r.at_source.assign(kPages, false);
     process.spawn(
         [&](Guest& g) {
             g.compute(200_us); // let the lease/gossip machinery warm up
@@ -433,6 +527,7 @@ KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
     for (const Kill& kill : kills) {
         machine.run_until(kill.at);
         machine.kill_kernel(kill.victim);
+        if (kill.seen_by >= 0) machine.kernel(kill.seen_by).node().set_peer_dead(kill.victim);
     }
     machine.run();
     process.check_all_joined();
@@ -441,8 +536,8 @@ KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
     }
     expect_frames_balanced(machine, process.pid(), kill_at);
     for (int p = 0; p < kPages; ++p) {
-        r.at_home[static_cast<std::size_t>(p)] =
-            pte_at(machine, 0, process.pid(),
+        r.at_source[static_cast<std::size_t>(p)] =
+            pte_at(machine, source, process.pid(),
                    buf + static_cast<Vaddr>(p) * kPageSize) != nullptr;
     }
 
@@ -461,7 +556,7 @@ KillRun run_kill_during_pull(topo::KernelId source, topo::KernelId dest,
     return r;
 }
 
-// Killing the SOURCE mid-scatter: every page it surrendered before dying
+// Killing the SOURCE mid-surrender: every page it pushed before dying
 // reaches the destination intact; the rest died with it (its sole copy)
 // and refault as zero — never as stale or foreign bytes. No busy bit,
 // pending install or frame leaks on the survivors.
@@ -480,29 +575,42 @@ TEST(WorksetMigration, SourceKillDuringOwnershipPullLosesNoData) {
     }
 }
 
-// Killing the destination (k1) just after it sent its pull, then the
-// source (k2) mid-scatter: the home's failure detector probes k1 first, so
-// by the time the source's death fails the scatter the requester is known
-// dead too and nothing ships. The home takes the elastic early-return
-// path: every page the source surrendered before dying is adopted into a
-// fresh frame at the home — read back intact — and the frame audit holds
-// on the survivors.
-TEST(WorksetMigration, RequesterKillDuringOwnershipPullKeepsSurrenderedPages) {
-    std::size_t adopted = 0;
-    for (const Nanos kill_at : {310_us, 320_us, 330_us, 340_us}) {
-        const KillRun r = run_kill_during_pull(2, 1, {{1, 306_us}, {2, kill_at}});
+// Killing the requester (k1) while the source (k2) surrenders its pages:
+// the home k0 forwards the pull as one kPageSurrender, and k2 pushes the
+// pages straight to k1, one every ~0.6 us from about t=316 us. k2's failure
+// detector fires at the kill itself; the home's fires a lease later. Each
+// page k2 shipped before that dies with the requester and refaults as zero.
+// Every page it had not shipped stays k2's and reads back intact: its
+// revoked PTE is restored, and the home, still seeing the requester alive,
+// leaves k2 the owner, so the quiesce audit finds no source copy without a
+// directory entry. No frame leaks on the survivors.
+TEST(WorksetMigration, RequesterKillDuringSurrenderKeepsUnshippedPages) {
+    std::size_t kept = 0;
+    std::size_t lost = 0;
+    std::size_t split = 0; // runs that shipped some pages and kept others
+    for (Nanos kill_at = 314_us; kill_at <= 330_us; kill_at += 1_us) {
+        const KillRun r = run_kill_during_pull(2, 1, {{1, kill_at, /*seen_by=*/2}});
+        std::size_t run_kept = 0;
+        std::size_t run_lost = 0;
         for (std::size_t p = 0; p < r.values.size(); ++p) {
             const std::uint64_t want = 0x5000u + p;
-            if (r.at_home[p]) {
-                ++adopted;
+            if (r.at_source[p]) {
+                ++run_kept;
                 EXPECT_EQ(r.values[p], want) << "kill_at=" << kill_at << " page " << p;
             } else {
                 EXPECT_TRUE(r.values[p] == want || r.values[p] == 0)
                     << "kill_at=" << kill_at << " page " << p;
+                run_lost += r.values[p] == 0 ? 1 : 0;
             }
         }
+        kept += run_kept;
+        lost += run_lost;
+        split += run_kept > 1 && run_lost > 0 ? 1 : 0;
     }
-    EXPECT_GT(adopted, 0u); // the sweep really lands inside the scatter
+    // Not vacuous: the sweep lands before, inside and after the pushes.
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(lost, 0u);
+    EXPECT_GT(split, 0u);
 }
 
 // --- Pushes racing a destination kill fail cleanly ---------------------------

@@ -481,9 +481,10 @@ TEST(Prefetch, StopsAtVmaBoundary) {
 TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
     RKO_SKIP_IF_SHARDED();
     // A writer on k2 dirties a region homed at k0, so every window page is
-    // Exclusive at a REMOTE source. Each serviced batch must fetch its
-    // window in one scatter round (downgrading k2 like a read fault would),
-    // never page by page in serial round trips.
+    // Exclusive at a REMOTE source. Each serviced batch must have k2
+    // surrender its whole window in ONE kPageSurrender (downgrading k2 like
+    // a read fault would), never page by page, and k2 pushes the replicas
+    // straight to the reader.
     constexpr int kPages = 16;
     Machine machine([] {
         auto config = smp::popcorn_config(6, 3);
@@ -503,7 +504,7 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
             }
         },
         2);
-    std::uint64_t batches = 0, scatters = 0, posts = 0, fetches = 0;
+    std::uint64_t batches = 0, scatters = 0, posts = 0, fetches = 0, surrenders = 0;
     process.spawn(
         [&](Guest& g) {
             g.join(writer);
@@ -511,6 +512,8 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
             const std::uint64_t scatters0 = home.scatter_batches();
             const std::uint64_t posts0 = home.scatter_posts();
             const std::uint64_t fetches0 = machine.kernel(0).pages().fetches();
+            const std::uint64_t surrenders0 =
+                machine.kernel(2).node().dispatched(msg::MsgType::kPageSurrender);
             for (int i = 0; i < kPages; ++i) {
                 EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize),
                           0x900u + static_cast<std::uint64_t>(i))
@@ -524,6 +527,9 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
             scatters = home.scatter_batches() - scatters0;
             posts = home.scatter_posts() - posts0;
             fetches = machine.kernel(0).pages().fetches() - fetches0;
+            surrenders =
+                machine.kernel(2).node().dispatched(msg::MsgType::kPageSurrender) -
+                surrenders0;
         },
         1);
     machine.run();
@@ -533,11 +539,16 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
     ASSERT_GT(batches, 0u);
     ASSERT_GT(issued, 0u);
     EXPECT_EQ(machine.kernel(1).pages().prefetch_hit(), issued);
-    // One scatter per serviced batch, carrying every pushed page's fetch;
-    // the only serial fetches left are the demand faults' own.
+    // One scatter per serviced batch, carrying one surrender for the
+    // window's one source. Fetches are still counted per page: each page is
+    // either a demand fault's own fetch or a pushed page of a surrender.
     EXPECT_EQ(scatters, batches);
-    EXPECT_EQ(posts, issued);
-    EXPECT_EQ(fetches - posts + issued, static_cast<std::uint64_t>(kPages));
+    EXPECT_EQ(posts, batches);
+    EXPECT_EQ(surrenders, batches);
+    EXPECT_EQ(fetches, static_cast<std::uint64_t>(kPages));
+    // The bytes travel once, source -> reader: every push comes from k2.
+    EXPECT_EQ(machine.kernel(1).node().dispatched(msg::MsgType::kPagePush), issued);
+    EXPECT_GE(machine.fabric().channel(2, 1).bytes_sent(), issued * kPageSize);
     for (int i = 0; i < kPages; ++i) {
         const Vaddr va = buf + static_cast<Vaddr>(i) * kPageSize;
         const std::uint64_t vpn = mem::vpn_of(va);

@@ -76,7 +76,9 @@ int main(int argc, char** argv) {
                         timed(g, [&] { g.write<int>(page, i); })));
                 }
                 // (3) remote read fault: replicate pages the origin owns.
-                for (int i = 0; i < reps; ++i) {
+                //     Descending, so the +1-page stride detector never turns
+                //     these single faults into fault-around batches.
+                for (int i = reps - 1; i >= 0; --i) {
                     const Vaddr page = region + static_cast<Vaddr>(i) * kPageSize;
                     read_remote.add(static_cast<double>(
                         timed(g, [&] { (void)g.read<int>(page); })));
@@ -152,7 +154,8 @@ int main(int argc, char** argv) {
                     }
                 },
                 0);
-            // `sharers` kernels replicate every page (read faults).
+            // `sharers` kernels replicate every page (read faults, descending
+            // so none is a fault-around batch).
             std::vector<Thread*> readers;
             Vaddr gate = 0;
             auto& gatekeeper = process.spawn([&](Guest& g) { gate = g.mmap(kPageSize); }, 0);
@@ -162,7 +165,7 @@ int main(int argc, char** argv) {
                         g.join(init);
                         g.join(gatekeeper);
                         std::uint64_t sum = 0;
-                        for (int i = 0; i < reps; ++i) {
+                        for (int i = reps - 1; i >= 0; --i) {
                             sum += static_cast<std::uint64_t>(g.read<int>(
                                 page_region + static_cast<Vaddr>(i) * kPageSize));
                         }
@@ -301,18 +304,17 @@ int main(int argc, char** argv) {
 
     bench::section("(e) ownership-streaming throughput vs working set");
     {
-        // Each working-set size runs twice: plain demand faulting, then with
-        // fault-around prefetch (window 8). The streaming reader's +1-page
-        // stride is detected after 3 faults; from then on every batch round
-        // trip moves up to 8 pages (one kPageFaultBatch reply + 7 pushes).
+        // Each working-set size runs twice: a descending sweep, which the
+        // +1-page stride detector never follows (plain demand faulting),
+        // then an ascending one with fault-around. Its stride is detected
+        // after 3 faults; from then on every batch round trip moves up to 8
+        // pages (one kPageFaultBatch reply + 7 pushes).
         struct StreamStats {
             Nanos move_time = 0;
             std::uint64_t issued = 0, hit = 0, wasted = 0;
         };
-        auto stream_once = [&](int pages, int window) {
-            auto config = smp::popcorn_config(4, 2);
-            config.prefetch_window = window;
-            Machine machine(config);
+        auto stream_once = [&](int pages, bool descending) {
+            Machine machine(smp::popcorn_config(4, 2));
             auto& process = machine.create_process(0);
             StreamStats stats;
             auto& owner = process.spawn(
@@ -327,7 +329,7 @@ int main(int argc, char** argv) {
                 },
                 0);
             process.spawn(
-                [&, pages](Guest& g) {
+                [&, pages, descending](Guest& g) {
                     g.join(owner);
                     // Find buf via the owner's published self-reference: the
                     // bench passes it through guest memory to stay honest.
@@ -335,7 +337,8 @@ int main(int argc, char** argv) {
                     const Vaddr buf = mem::kMmapBase;
                     stats.move_time = timed(g, [&] {
                         std::uint64_t sum = 0;
-                        for (int i = 0; i < pages; ++i) {
+                        for (int n = 0; n < pages; ++n) {
+                            const int i = descending ? pages - 1 - n : n;
                             sum += g.read<std::uint64_t>(
                                 buf + static_cast<Vaddr>(i) * kPageSize);
                         }
@@ -353,8 +356,8 @@ int main(int argc, char** argv) {
         Table table({"working set", "demand move", "prefetch move", "speedup",
                      "MB/s (pf)"});
         for (const int pages : {16, 64, 256, 1024}) {
-            const StreamStats demand = stream_once(pages, 1);
-            const StreamStats pf = stream_once(pages, 8);
+            const StreamStats demand = stream_once(pages, /*descending=*/true);
+            const StreamStats pf = stream_once(pages, /*descending=*/false);
             const double mb = static_cast<double>(pages) * kPageSize / 1e6;
             table.add_row(
                 {fmt("%d pages", pages), fmt_ns(demand.move_time),
@@ -374,7 +377,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(pf.wasted));
         }
         table.print();
-        std::printf("\nWith the window off the reader pays one origin round "
+        std::printf("\nDemand faulting pays one origin round "
                     "trip per page; with fault-around on, batched replies and "
                     "pushed pages amortize that trip across the window.\n");
     }

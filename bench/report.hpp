@@ -24,7 +24,6 @@
 #include <utility>
 
 #include "harness.hpp"
-#include "rko/api/machine.hpp"
 #include "rko/home/home.hpp"
 #include "rko/trace/json.hpp"
 #include "rko/trace/metrics.hpp"
@@ -78,9 +77,6 @@ public:
         // per-machine and say so in their metric names). Comparing JSONs
         // from different shard settings is comparing different machines.
         w.kv("home_shards", home::shards_from_env());
-        // Same for the working-set pre-copy budget, the MachineConfig
-        // default: workset-on and workset-off runs are different machines.
-        w.kv("workset_push", api::MachineConfig{}.workset_push);
         w.key("metrics");
         metrics_.write_json(w);
         w.end_object();

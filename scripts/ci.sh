@@ -23,7 +23,7 @@
 #                sweep with 4-way sharded homes (RKO_HOME_SHARDS=4);
 #                failures print the offending seed and its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration + mmap-scale
-#                benches vs the committed baselines — virtual time is exactly
+#                + apps benches vs the committed baselines — virtual time is exactly
 #                reproducible, so any >10% drift in a key protocol latency
 #                is a real regression
 #
@@ -117,6 +117,13 @@ scripts/bench_compare.py bench/baselines/bench_mmap_scale_quick.json \
     build/bench_out/bench_mmap_scale_quick.json \
     --key "multiproc.*.smp_lock_wait_ns" --key "multiproc.*.popcorn_lock_wait_ns" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_mmap_scale_quick.json build/bench_out/bench_mmap_scale_quick.json --key 'multiproc.*.smp_lock_wait_ns' --key 'multiproc.*.popcorn_lock_wait_ns'"
+./build/bench/bench_apps --quick \
+    --json=build/bench_out/bench_apps_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_apps --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_apps_quick.json \
+    build/bench_out/bench_apps_quick.json \
+    --key "is.*_ns" --key "cg.*_ns" --key "churn.*_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_quick.json build/bench_out/bench_apps_quick.json --key 'is.*_ns' --key 'cg.*_ns' --key 'churn.*_ns'"
 
 echo ""
 echo "ci.sh: all stages green"

@@ -52,9 +52,6 @@ Machine::Machine(MachineConfig config)
     for (auto& k : kernels_) {
         k->home_map().init(config_.home_shards, home_eligible);
         k->pages().set_read_replication(config_.read_replication);
-        k->pages().set_prefetch_window(config_.prefetch_window);
-        k->pages().set_workset_push(config_.workset_push);
-        k->futex().set_hierarchy(config_.futex_hierarchy);
         k->futex().set_handoff_cap(config_.futex_handoff_cap);
         k->install_services([this](Tid tid) -> sim::Actor* {
             Thread* thread = thread_of(tid);

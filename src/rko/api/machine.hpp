@@ -20,6 +20,7 @@
 #include "rko/api/process.hpp"
 #include "rko/balance/balance.hpp"
 #include "rko/check/gate.hpp"
+#include "rko/core/page_owner.hpp"
 #include "rko/elastic/elastic.hpp"
 #include "rko/home/home.hpp"
 #include "rko/kernel/kernel.hpp"
@@ -41,20 +42,20 @@ struct MachineConfig {
     std::uint64_t seed = 1;
     /// Page-consistency ablation: true = MSI with reader replication
     /// (the paper's protocol), false = migrate-on-any-fault (no Shared
-    /// state; see DESIGN.md §5).
+    /// state, hence no fault-around; see DESIGN.md §5).
     bool read_replication = true;
-    /// Fault-around prefetch window in pages (DESIGN.md §10). A remote read
-    /// fault from a thread with a detected sequential stride is upgraded to
-    /// a batched transaction covering up to this many pages. <= 1 disables
-    /// the detector entirely: runs are bit-identical to the pre-prefetch
-    /// protocol (no kPageFaultBatch messages exist on the wire).
-    int prefetch_window = 1;
-    /// Hierarchical futex (DESIGN.md §13): remote waiters on the same
-    /// (pid, uaddr) aggregate into a per-kernel convoy, the origin fans
-    /// wakes out as batched kFutexGrantBatch RPCs, and granted kernels
-    /// hand the lock around locally. false restores the flat per-waiter
-    /// protocol exactly (no kFutexGrantBatch/kFutexDeregister on the wire).
-    bool futex_hierarchy = true;
+    /// Fault-around window in pages (DESIGN.md §10): a remote read fault
+    /// from a thread on a sequential +1-page stride is upgraded to a batched
+    /// transaction covering up to this many pages. A protocol constant,
+    /// reported here so run descriptions print it.
+    static constexpr int prefetch_window =
+        static_cast<int>(core::PageOwner::kFaultAroundWindow);
+    /// The futex protocol is hierarchical (DESIGN.md §13): remote waiters on
+    /// the same (pid, uaddr) aggregate into a per-kernel convoy, the origin
+    /// fans wakes out as batched kFutexGrantBatch RPCs, and granted kernels
+    /// hand the lock around locally. A protocol constant, reported here so
+    /// run descriptions print it.
+    static constexpr bool futex_hierarchy = true;
     /// Consecutive wake(1)s a granted kernel may serve from its own convoy
     /// before the next wake returns to the origin (fairness budget for the
     /// local-handoff fast path). 64 follows the lock-cohorting literature:
@@ -73,14 +74,13 @@ struct MachineConfig {
     /// fatal).
     int home_shards = home::shards_from_env();
     /// Working-set migration (DESIGN.md §15): a migrating thread's
-    /// checkpoint piggybacks up to this many of its hottest page numbers;
-    /// the destination pulls them from their homes in one scatter round
-    /// before resuming — dirty pages move owned, shared ones as replicas —
-    /// and a short post-copy boost widens fault-around for the tail. On by
-    /// default at the tracker's full size. 0 disables: the tracker never
-    /// ships, no kWorksetPull/kWorksetPush messages exist on the wire, and
-    /// runs are bit-identical to the pre-workset protocol.
-    int workset_push = static_cast<int>(task::kMaxWorkset);
+    /// checkpoint piggybacks up to this many of its hottest page numbers
+    /// (the tracker's full size); the destination pulls them from their
+    /// homes in one scatter round before resuming — dirty pages move owned,
+    /// shared ones as replicas — and a short post-copy boost widens
+    /// fault-around for the tail. A protocol constant, reported here so run
+    /// descriptions print it.
+    static constexpr int workset_push = static_cast<int>(task::kMaxWorkset);
     /// Tracing & metrics; defaults follow the RKO_TRACE environment
     /// variable (see trace::TraceConfig::from_env). Metrics are collected
     /// regardless; `trace.enabled` only gates event recording.

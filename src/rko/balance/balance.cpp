@@ -6,7 +6,6 @@
 
 #include "rko/base/assert.hpp"
 #include "rko/core/dfutex.hpp"
-#include "rko/core/page_owner.hpp"
 #include "rko/core/ssi.hpp"
 #include "rko/core/wire.hpp"
 #include "rko/kernel/kernel.hpp"
@@ -200,10 +199,7 @@ void Balancer::decide() {
     // Working-set tracker aging (DESIGN.md §15): every policy — including
     // kNone — rides the balancer period as its decay tick, halving each
     // tracked page's heat so phase shifts age out of the pre-copy set.
-    // Gated so disabled-workset runs touch nothing.
-    if (k_.pages().workset_push() > 0) {
-        k_.for_each_task_mut([](task::Task& t) { t.workset_decay(); });
-    }
+    k_.for_each_task_mut([](task::Task& t) { t.workset_decay(); });
 }
 
 void Balancer::decide_push() {

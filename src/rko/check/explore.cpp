@@ -443,19 +443,17 @@ ScenarioResult run_invalidate_storm(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
-/// A streaming reader walks a 24-page region sequentially with
-/// prefetch_window=8, so its read faults upgrade into batched
-/// transactions whose kPagePush deliveries race (a) a writer storming the
-/// middle of the region — write upgrades must invalidate pushed copies
-/// that are still in flight or freshly installed — and (b) an unmapper
+/// A streaming reader walks a 24-page region sequentially, so its read
+/// faults upgrade into fault-around batched transactions whose kPagePush
+/// deliveries race (a) a writer storming the middle of the region — write
+/// upgrades must invalidate pushed copies that are still in flight or
+/// freshly installed — and (b) an unmapper
 /// cycling the tail, so pushes can arrive for a VMA that just vanished
 /// (the push must be dropped and its busy bit still released). The reader
 /// may legally segfault; audits + reproducibility only.
 ScenarioResult run_prefetch_race(const ExploreConfig& cfg) {
     constexpr int kPages = 24;
-    MachineConfig mc = base_config(cfg);
-    mc.prefetch_window = 8;
-    Machine machine(mc);
+    Machine machine(base_config(cfg));
     auto& process = machine.create_process(0);
     Vaddr buf = 0;
     auto& init = process.spawn(
@@ -748,9 +746,7 @@ ScenarioResult run_home_storm(const ExploreConfig& cfg) {
 ScenarioResult run_migrate_under_write_sharing(const ExploreConfig& cfg) {
     constexpr int kPages = 8;
     constexpr int kRounds = 6;
-    MachineConfig mc = base_config(cfg);
-    mc.workset_push = 8; // a smaller pre-copy budget than the default
-    Machine machine(mc);
+    Machine machine(base_config(cfg));
     auto& process = machine.create_process(0);
     Vaddr buf = 0;
     auto& init = process.spawn(

@@ -18,7 +18,6 @@ DFutex::DFutex(kernel::Kernel& k)
       local_(k.id()),
       waits_(k.metrics().counter("futex.waits")),
       wakes_(k.metrics().counter("futex.wakes")),
-      remote_grants_(k.metrics().counter("futex.remote_grants")),
       local_handoffs_(k.metrics().counter("futex.local_handoffs")),
       aggregated_waits_(k.metrics().counter("futex.aggregated_waits")),
       grant_fanout_(k.metrics().histogram("futex.grant_batch.fanout")) {
@@ -42,12 +41,6 @@ void DFutex::install() {
     k_.node().register_handler(
         msg::MsgType::kFutexWake, msg::HandlerClass::kBlocking,
         [this](msg::Node& node, msg::MessagePtr m) { on_futex_wake(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kFutexGrant, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_futex_grant(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kFutexCancel, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_futex_cancel(node, std::move(m)); });
     k_.node().register_handler(
         msg::MsgType::kFutexGrantBatch, msg::HandlerClass::kLeaf,
         [this](msg::Node& node, msg::MessagePtr m) {
@@ -110,13 +103,15 @@ std::size_t DFutex::locked_buckets() const {
 
 std::int32_t DFutex::origin_wait(ProcessSite& site, Pid pid, Tid tid,
                                  topo::KernelId waiter_kernel, mem::Vaddr uaddr,
-                                 std::uint32_t val, std::uint32_t aggregate_count,
+                                 std::uint32_t val, std::uint32_t convoy_count,
                                  std::uint64_t epoch,
                                  topo::KernelId* owner_hint) {
     RKO_ASSERT(site.is_origin());
     const mem::Vaddr page = mem::page_floor(uaddr);
     Bucket& bucket = bucket_of(pid, uaddr);
-    const bool aggregate = aggregate_count > 0;
+    // Every remote registration is a convoy head standing in for its
+    // kernel; only the origin's own waiters queue one entry each.
+    const bool aggregate = waiter_kernel != k_.id();
 
     for (int attempt = 0; attempt < 16; ++attempt) {
         if (inject_stale_registration_) {
@@ -170,7 +165,7 @@ std::int32_t DFutex::origin_wait(ProcessSite& site, Pid pid, Tid tid,
         }
         if (aggregate) {
             apply_report_locked(bucket, pid, uaddr, waiter_kernel,
-                                aggregate_count, epoch);
+                                convoy_count, epoch);
         } else {
             bucket.queue.push_back(
                 Waiter{pid, tid, waiter_kernel, uaddr, 1, 0});
@@ -257,7 +252,10 @@ std::uint32_t DFutex::origin_wake(ProcessSite& site, Pid pid, mem::Vaddr uaddr,
         bucket.lock.unlock();
         if (direct.empty() && grants.empty()) break;
 
-        for (const Waiter& waiter : direct) deliver_grant(waiter);
+        for (const Waiter& waiter : direct) {
+            task::Task* t = k_.find_task(waiter.tid);
+            if (t != nullptr) k_.sched().wake(*t);
+        }
         woken_total += static_cast<std::uint32_t>(direct.size());
         for (const Waiter& waiter : direct) {
             note_grant(pid, uaddr, waiter.kernel, 1);
@@ -293,18 +291,6 @@ std::uint32_t DFutex::origin_wake(ProcessSite& site, Pid pid, mem::Vaddr uaddr,
         if (woken_total >= max_wake) break;
     }
     return woken_total;
-}
-
-void DFutex::deliver_grant(const Waiter& waiter) {
-    if (waiter.kernel == k_.id()) {
-        task::Task* t = k_.find_task(waiter.tid);
-        if (t != nullptr) k_.sched().wake(*t);
-        return;
-    }
-    remote_grants_.inc();
-    k_.node().send(waiter.kernel,
-                   msg::make_message(msg::MsgType::kFutexGrant, msg::MsgKind::kOneway,
-                                     FutexGrantMsg{waiter.pid, waiter.tid}));
 }
 
 void DFutex::note_grant(Pid pid, mem::Vaddr uaddr, topo::KernelId kernel,
@@ -403,24 +389,6 @@ DFutex::HotWord DFutex::hottest_word() {
 }
 
 bool DFutex::origin_cancel(Pid pid, Tid tid, mem::Vaddr uaddr) {
-    if (uaddr == 0) {
-        // Wildcard: the word is unknown, so the bucket is too. A tid sleeps
-        // on at most one word, so stop at the first hit. Aggregates never
-        // match — their waiters cancel through the owning kernel's convoy.
-        for (Bucket& bucket : table_) {
-            bucket.lock.lock();
-            for (auto it = bucket.queue.begin(); it != bucket.queue.end(); ++it) {
-                if (it->pid == pid && it->tid == tid && it->tid != kAggregateTid) {
-                    bucket.queue.erase(it);
-                    bucket.shadow.on_write();
-                    bucket.lock.unlock();
-                    return true;
-                }
-            }
-            bucket.lock.unlock();
-        }
-        return false;
-    }
     Bucket& bucket = bucket_of(pid, uaddr);
     bucket.lock.lock();
     for (auto it = bucket.queue.begin(); it != bucket.queue.end(); ++it) {
@@ -543,8 +511,8 @@ int DFutex::convoy_wait(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
             site.origin(),
             msg::make_message(
                 msg::MsgType::kFutexWait, msg::MsgKind::kRequest,
-                FutexWaitReq{t.pid, t.tid, uaddr, val, k_.id(), /*aggregate=*/1,
-                             /*count=*/1, entered->reg_epoch}));
+                FutexWaitReq{t.pid, t.tid, uaddr, val, k_.id(), /*count=*/1,
+                             entered->reg_epoch}));
         resp = reply->payload_as<FutexWaitResp>();
         if (resp.result != kEagain || attempt >= 3) break;
         // Transient refusal: a contended word flips several times per
@@ -598,20 +566,9 @@ int DFutex::wait(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
     waits_.inc();
     t.last_futex_word = uaddr;
     trace::Span span(k_.engine(), k_.id(), "futex.wait", uaddr);
-    if (!site.is_origin() && hierarchy_) {
-        return convoy_wait(t, site, uaddr, val, timeout);
-    }
-    std::int32_t result;
-    if (site.is_origin()) {
-        result = origin_wait(site, t.pid, t.tid, k_.id(), uaddr, val, 0, 0,
-                             nullptr);
-    } else {
-        auto reply = k_.node().rpc(
-            site.origin(),
-            msg::make_message(msg::MsgType::kFutexWait, msg::MsgKind::kRequest,
-                              FutexWaitReq{t.pid, t.tid, uaddr, val, k_.id()}));
-        result = reply->payload_as<FutexWaitResp>().result;
-    }
+    if (!site.is_origin()) return convoy_wait(t, site, uaddr, val, timeout);
+    const std::int32_t result =
+        origin_wait(site, t.pid, t.tid, k_.id(), uaddr, val, 0, 0, nullptr);
     if (result != 0) return result;
 
     // Queued at the origin: sleep until a grant wakes us. A grant that
@@ -622,25 +579,12 @@ int DFutex::wait(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
     }
     if (k_.sched().block_and_wait_for(t, timeout)) return 0;
 
-    // Timed out: withdraw the queue entry at the origin. If the entry is
-    // already gone a grant is in flight; report a normal wake (the banked
-    // wake_pending becomes a legal spurious wakeup later).
-    bool removed;
-    if (site.is_origin()) {
-        removed = origin_cancel(t.pid, t.tid, uaddr);
-    } else {
-        auto reply = k_.node().rpc(
-            site.origin(),
-            msg::make_message(msg::MsgType::kFutexCancel, msg::MsgKind::kRequest,
-                              FutexCancelReq{t.pid, t.tid, uaddr}));
-        removed = reply->payload_as<FutexCancelResp>().removed;
-    }
-    if (removed) return kEtimedout;
-    // The entry was already gone: a grant is in flight (or has landed as a
-    // banked wake_pending). Consume it before returning, otherwise the
-    // stale wake poisons this task's *next* wait — it would dequeue-and-run
-    // instantly while its queue entry stays behind, tripping the
+    // Timed out: withdraw the queue entry. If the entry is already gone a
+    // grant selected us; consume its banked wake before returning, otherwise
+    // the stale wake poisons this task's *next* wait — it would dequeue-and-
+    // run instantly while its queue entry stays behind, tripping the
     // "queued twice" audit on the wait after that.
+    if (origin_cancel(t.pid, t.tid, uaddr)) return kEtimedout;
     k_.sched().block_and_wait(t);
     return 0;
 }
@@ -652,7 +596,7 @@ int DFutex::wake(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
     if (site.is_origin()) {
         return static_cast<int>(origin_wake(site, t.pid, uaddr, max_wake));
     }
-    if (hierarchy_ && max_wake == 1) {
+    if (max_wake == 1) {
         // Local handoff: pass the lock around our own convoy without
         // contacting the origin, until the fairness budget expires. The
         // origin's count goes stale-high; the next grant reply reconciles.
@@ -680,9 +624,8 @@ void DFutex::on_futex_wait(msg::Node& node, msg::MessagePtr m) {
     // refusal reply dead-letters at the dead node.
     if (k_.has_site(req.pid) && !node.peer_dead(req.waiter_kernel)) {
         resp.result = origin_wait(k_.site(req.pid), req.pid, req.tid,
-                                  req.waiter_kernel, req.uaddr, req.val,
-                                  req.aggregate != 0 ? req.count : 0, req.epoch,
-                                  &resp.owner);
+                                  req.waiter_kernel, req.uaddr, req.val, req.count,
+                                  req.epoch, &resp.owner);
     }
     node.reply(*m,
                msg::make_message(msg::MsgType::kFutexWait, msg::MsgKind::kReply, resp));
@@ -696,20 +639,6 @@ void DFutex::on_futex_wake(msg::Node& node, msg::MessagePtr m) {
     }
     node.reply(*m,
                msg::make_message(msg::MsgType::kFutexWake, msg::MsgKind::kReply, resp));
-}
-
-void DFutex::on_futex_cancel(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<FutexCancelReq>();
-    FutexCancelResp resp{origin_cancel(req.pid, req.tid, req.uaddr)};
-    node.reply(*m, msg::make_message(msg::MsgType::kFutexCancel, msg::MsgKind::kReply,
-                                     resp));
-}
-
-void DFutex::on_futex_grant(msg::Node& node, msg::MessagePtr m) {
-    (void)node;
-    const auto& grant = m->payload_as<FutexGrantMsg>();
-    task::Task* t = k_.find_task(grant.tid);
-    if (t != nullptr) k_.sched().wake(*t);
 }
 
 void DFutex::on_futex_grant_batch(msg::Node& node, msg::MessagePtr m) {

@@ -13,14 +13,14 @@
 // globally either updated that frame or invalidated it first (forcing a
 // retry), so check+enqueue is atomic with respect to wakes.
 //
-// On top of the flat table sits the hierarchical tier (DESIGN §13): remote
-// waiters on the same (pid, uaddr) aggregate into a per-kernel convoy
-// (core/dfutex_local), the origin queue holds one *aggregate* entry per
-// (pid, uaddr, kernel) — Waiter::tid == 0, count-carrying — and wakes fan
-// out as batched kFutexGrantBatch RPCs over rpc_scatter. A granted kernel
-// hands the lock around its convoy locally (futex.local_handoffs) until
-// the convoy drains or the fairness budget (MachineConfig::
-// futex_handoff_cap) expires.
+// The protocol is hierarchical (DESIGN §13). The origin's own waiters
+// queue one entry each. Remote waiters on the same (pid, uaddr) aggregate
+// into a per-kernel convoy (core/dfutex_local) whose head registers one
+// *aggregate* entry per (pid, uaddr, kernel) at the origin — Waiter::tid
+// == 0, count-carrying — and wakes fan out as batched kFutexGrantBatch
+// RPCs over rpc_scatter. A granted kernel hands the lock around its convoy
+// locally (futex.local_handoffs) until the convoy drains or the fairness
+// budget (MachineConfig::futex_handoff_cap) expires.
 #pragma once
 
 #include <array>
@@ -60,14 +60,11 @@ public:
 
     explicit DFutex(kernel::Kernel& k);
 
-    /// Registers kFutexWait/kFutexWake (blocking), kFutexGrant/kFutexCancel/
-    /// kFutexGrantBatch/kFutexDeregister (leaf).
+    /// Registers kFutexWait/kFutexWake (blocking), kFutexGrantBatch/
+    /// kFutexDeregister (leaf).
     void install();
 
     // --- Configuration (api layer; mirrors pages() setters) ---
-    /// Default on; false restores the flat per-waiter protocol exactly.
-    void set_hierarchy(bool on) { hierarchy_ = on; }
-    bool hierarchy() const { return hierarchy_; }
     /// Consecutive wake(1)s a granted kernel serves from its own convoy
     /// before the next wake returns to the origin (fairness budget).
     void set_handoff_cap(std::uint32_t cap) {
@@ -117,7 +114,6 @@ public:
 
     std::uint64_t waits() const { return waits_.value; }
     std::uint64_t wakes() const { return wakes_.value; }
-    std::uint64_t remote_grants() const { return remote_grants_.value; }
     std::uint64_t local_handoffs() const { return local_handoffs_.value; }
     Nanos bucket_wait_time() const;
     /// Waiters currently parked in this kernel's table (both tiers;
@@ -193,18 +189,17 @@ private:
         return table_[bucket_index(pid, uaddr)];
     }
 
-    // Origin-side operations (task actor or kworker).
+    // Origin-side operations (task actor or kworker). A waiter on another
+    // kernel is that kernel's convoy head: it registers an aggregate
+    // carrying `convoy_count` at `epoch`.
     std::int32_t origin_wait(ProcessSite& site, Pid pid, Tid tid,
                              topo::KernelId waiter_kernel, mem::Vaddr uaddr,
-                             std::uint32_t val, std::uint32_t aggregate_count,
+                             std::uint32_t val, std::uint32_t convoy_count,
                              std::uint64_t epoch, topo::KernelId* owner_hint);
     std::uint32_t origin_wake(ProcessSite& site, Pid pid, mem::Vaddr uaddr,
                               std::uint32_t max_wake);
-    /// Removes a timed-out waiter; false if it was already granted.
-    /// uaddr 0 is a wildcard (any word; drain's spurious-wake path — only
-    /// the waiting fiber knows its own word): all buckets are scanned.
+    /// Removes a timed-out origin waiter; false if it was already granted.
     bool origin_cancel(Pid pid, Tid tid, mem::Vaddr uaddr);
-    void deliver_grant(const Waiter& waiter);
     /// Folds a kernel's authoritative convoy report (registration, grant
     /// reply, or deregister) into the aggregate entry, newest epoch wins.
     /// Caller holds the bucket lock. A report for an absent entry creates
@@ -227,15 +222,12 @@ private:
 
     void on_futex_wait(msg::Node& node, msg::MessagePtr m);
     void on_futex_wake(msg::Node& node, msg::MessagePtr m);
-    void on_futex_grant(msg::Node& node, msg::MessagePtr m);
-    void on_futex_cancel(msg::Node& node, msg::MessagePtr m);
     void on_futex_grant_batch(msg::Node& node, msg::MessagePtr m);
     void on_futex_deregister(msg::Node& node, msg::MessagePtr m);
 
     kernel::Kernel& k_;
     std::array<Bucket, kBuckets> table_;
     DFutexLocal local_;
-    bool hierarchy_ = true;
     std::uint32_t handoff_cap_ = 64;
     bool inject_stale_registration_ = false;
 
@@ -262,7 +254,6 @@ private:
     // Registry-backed ("futex.*" in the kernel's MetricsRegistry).
     trace::Counter& waits_;
     trace::Counter& wakes_;
-    trace::Counter& remote_grants_;
     trace::Counter& local_handoffs_;
     trace::Counter& aggregated_waits_;
     base::Histogram& grant_fanout_;

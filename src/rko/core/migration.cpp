@@ -65,10 +65,10 @@ bool Migration::migrate_out(task::Task& t, topo::KernelId dest,
                  static_cast<std::uint64_t>(t.tid));
     }
 
-    // --- Phase 2: transfer + remote instantiation. With working-set push
-    // enabled the checkpoint piggybacks the task's top-K hot VPNs (§15);
-    // the wire is truncated to what actually ships, so a disabled or empty
-    // tracker costs exactly the old message.
+    // --- Phase 2: transfer + remote instantiation. The checkpoint
+    // piggybacks the task's top-K hot VPNs (§15); the wire is truncated to
+    // what actually ships, so an empty tracker costs exactly the bare
+    // context.
     const bool back = dest == t.origin;
     MigrateReq req{};
     req.pid = t.pid;
@@ -76,26 +76,14 @@ bool Migration::migrate_out(task::Task& t, topo::KernelId dest,
     req.origin = t.origin;
     req.from = k_.id();
     req.ctx = ctx;
+    // Every still-warm tracked page ships (the tracker holds at most
+    // kMaxWorkset), in VPN order on the wire — deterministic and contiguous
+    // for the pull round.
     req.workset_count = 0;
-    if (k_.pages().workset_push() > 0) {
-        std::array<task::WorksetEntry, task::kMaxWorkset> hot{};
-        std::uint32_t n = 0;
-        for (std::uint32_t i = 0; i < t.workset_size; ++i) {
-            if (t.workset[i].heat > 0) hot[n++] = t.workset[i];
-        }
-        // Hottest first to pick the K that matter, then VPN order on the
-        // wire — deterministic and contiguous for the pull round.
-        std::sort(hot.begin(), hot.begin() + n, [](const auto& a, const auto& b) {
-            return a.heat != b.heat ? a.heat > b.heat : a.vpn < b.vpn;
-        });
-        const auto keep = std::min<std::uint32_t>(
-            {n, static_cast<std::uint32_t>(k_.pages().workset_push()),
-             task::kMaxWorkset});
-        std::sort(hot.begin(), hot.begin() + keep,
-                  [](const auto& a, const auto& b) { return a.vpn < b.vpn; });
-        for (std::uint32_t i = 0; i < keep; ++i) req.workset_vpn[i] = hot[i].vpn;
-        req.workset_count = keep;
+    for (std::uint32_t i = 0; i < t.workset_size; ++i) {
+        if (t.workset[i].heat > 0) req.workset_vpn[req.workset_count++] = t.workset[i].vpn;
     }
+    std::sort(req.workset_vpn.begin(), req.workset_vpn.begin() + req.workset_count);
     msg::RpcStatus st = msg::RpcStatus::kOk;
     auto reply = k_.node().rpc(
         dest,
@@ -215,9 +203,7 @@ void Migration::on_migrate(msg::Node& node, msg::MessagePtr m) {
         t->pending_workset[i] = req.workset_vpn[i];
     }
     t->pending_workset_count = shipped;
-    t->workset_boost_until = k_.pages().workset_push() > 0
-                                 ? k_.engine().now() + PageOwner::kWorksetBoostNs
-                                 : 0;
+    t->workset_boost_until = k_.engine().now() + PageOwner::kWorksetBoostNs;
     // Unpacking the context costs one pass over the save area.
     sim::current_actor().sleep_for(k_.costs().copy_cost(sizeof req.ctx));
 

@@ -686,11 +686,12 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     // Fault-around: a thread on a sequential read streak upgrades this
     // fault into a batched transaction — the origin services the faulting
     // page as usual and pushes the window's remaining pages unsolicited
-    // (kPagePush), turning one RTT per page into one RTT per window. With
-    // the knob off (window <= 1) none of this code runs and the wire
-    // traffic is bit-identical to the plain protocol.
+    // (kPagePush), turning one RTT per page into one RTT per window. The
+    // pushed copies are read-only replicas — the Shared state the
+    // migrate-on-fault ablation removes — so the detector needs reader
+    // replication.
     std::uint32_t window = 0;
-    if (prefetch_window_ > 1 && t != nullptr && (access & mem::kProtWrite) == 0) {
+    if (read_replication_ && t != nullptr && (access & mem::kProtWrite) == 0) {
         if (t->last_fault_page + mem::kPageSize == page) {
             ++t->fault_run;
         } else {
@@ -702,10 +703,7 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
             // master and the non-busy directory entries it can claim.
             const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
             const std::uint64_t cap =
-                std::min<std::uint64_t>(std::min<std::uint64_t>(
-                                            static_cast<std::uint64_t>(prefetch_window_),
-                                            kMaxFaultAround),
-                                        avail);
+                std::min<std::uint64_t>(kFaultAroundWindow, avail);
             if (cap >= 2) window = static_cast<std::uint32_t>(cap);
         }
     }
@@ -716,7 +714,7 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     // shootdown, and replies after the pushes, so the window lands
     // installed before the guest resumes.
     bool boosted = false;
-    if (workset_push_ > 0 && t != nullptr && (access & mem::kProtWrite) == 0 &&
+    if (t != nullptr && (access & mem::kProtWrite) == 0 &&
         t->workset_boost_until > k_.engine().now()) {
         const std::uint64_t avail = (vma.end - page) >> mem::kPageShift;
         const std::uint64_t cap =
@@ -1974,7 +1972,7 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
     const std::uint32_t count =
         std::min<std::uint32_t>(t.pending_workset_count, task::kMaxWorkset);
     t.pending_workset_count = 0;
-    if (count == 0 || workset_push_ <= 0) return;
+    if (count == 0) return;
     // Group the shipped list by home and post ONE kWorksetPull per home,
     // all in a single scatter round. Pages homed HERE are skipped — their
     // faults never cross the fabric, so pushing them buys nothing.
@@ -2075,7 +2073,7 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
                 // The window's tail [va+1, va+window): the requester clipped
                 // it to its replica VMA; claim_pages re-validates each page.
                 const std::uint32_t window =
-                    std::min(req.window, boosted ? kMaxWorksetAround : kMaxFaultAround);
+                    std::min(req.window, boosted ? kMaxWorksetAround : kFaultAroundWindow);
                 std::vector<std::uint64_t> vpns;
                 for (std::uint32_t i = 1; i < window; ++i) {
                     vpns.push_back(mem::vpn_of(req.va) + i);
@@ -2157,9 +2155,18 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
     PageInvalidateRangeResp resp{};
     if (k_.has_site(req.pid)) {
         ProcessSite& site = k_.site(req.pid);
+        // `count` is wire-supplied: never read past the offsets the message
+        // actually carries (wire_bytes truncates the array to `count`).
+        const std::size_t head = offsetof(PageInvalidateRangeReq, vpn_offset);
+        const std::size_t carried =
+            m->hdr.payload_size > head
+                ? (m->hdr.payload_size - head) / sizeof(std::uint32_t)
+                : 0;
+        const std::size_t count = std::min<std::size_t>(
+            {req.count, PageInvalidateRangeReq::kMaxPages, carried});
         std::vector<std::uint64_t> vpns;
-        vpns.reserve(req.count);
-        for (std::uint32_t i = 0; i < req.count; ++i) {
+        vpns.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
             vpns.push_back(req.base_vpn + req.vpn_offset[i]);
         }
         resp.touched = req.op == InvalidateRangeOp::kDrop
@@ -2245,8 +2252,7 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_prefix_as<WorksetPullReq>();
     WorksetPullResp resp{};
     std::vector<mem::Paddr> freed;
-    if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester) &&
-        workset_push_ > 0) {
+    if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester)) {
         ProcessSite& site = k_.site(req.pid);
         // `count` is wire-supplied: never read past the VPN array.
         const std::uint32_t count = std::min<std::uint32_t>(req.count, task::kMaxWorkset);

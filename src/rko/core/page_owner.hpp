@@ -34,15 +34,16 @@ namespace rko::core {
 
 class PageOwner {
 public:
-    /// Hard cap on a fault-around window (pages, including the faulting
-    /// one) regardless of the configured prefetch_window.
-    static constexpr std::uint32_t kMaxFaultAround = 16;
+    /// Fault-around window (pages, including the faulting one): the
+    /// requester asks for at most this many and the home clips the
+    /// wire-supplied window to it.
+    static constexpr std::uint32_t kFaultAroundWindow = 8;
     /// Consecutive +1-page faults a thread must string together before a
     /// read fault is upgraded to a batched transaction.
     static constexpr std::uint32_t kPrefetchMinRun = 3;
     /// Window cap for a post-migration boosted batch (DESIGN.md §15) —
-    /// wider than kMaxFaultAround because the requester just lost its whole
-    /// address space.
+    /// wider than kFaultAroundWindow because the requester just lost its
+    /// whole address space.
     static constexpr std::uint32_t kMaxWorksetAround = 32;
     /// How long (virtual ns) after arrival a migrated thread keeps its
     /// post-copy boost: remote read faults batch from the first touch
@@ -62,20 +63,6 @@ public:
     /// simplest DSM). Default true: MSI with reader replication.
     void set_read_replication(bool enabled) { read_replication_ = enabled; }
     bool read_replication() const { return read_replication_; }
-
-    /// Fault-around prefetch window (pages). <= 1 disables the stride
-    /// detector: no kPageFaultBatch / kPagePush traffic exists and runs are
-    /// bit-identical to the plain demand-fault protocol.
-    void set_prefetch_window(int pages) { prefetch_window_ = pages; }
-    int prefetch_window() const { return prefetch_window_; }
-
-    /// Working-set migration (DESIGN.md §15): how many hot pages a
-    /// migration pre-copies (top-K of the task tracker, <= kMaxWorkset).
-    /// <= 0 disables the whole feature — no workset tail on kMigrate, no
-    /// kWorksetPull/kWorksetPush traffic, no post-copy boost — and runs
-    /// are bit-identical to the plain demand-fault protocol.
-    void set_workset_push(int k) { workset_push_ = k; }
-    int workset_push() const { return workset_push_; }
 
     /// Post-resume pre-copy pull (runs on the migrated guest's actor):
     /// drains t.pending_workset in ONE rpc_scatter of kWorksetPull rounds,
@@ -310,8 +297,6 @@ private:
     kernel::Kernel& k_;
     bool read_replication_ = true;
     bool inject_lost_invalidate_ = false;
-    int prefetch_window_ = 1;
-    int workset_push_ = 0;
     // Registry-backed ("pages.*" in the kernel's MetricsRegistry).
     trace::Counter& local_faults_;
     trace::Counter& remote_faults_;

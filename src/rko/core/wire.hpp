@@ -156,7 +156,7 @@ struct PageFaultBatchReq {
     topo::KernelId requester;
     std::uint32_t window; ///< total pages including the faulting one, >= 2
     /// Nonzero: the requester is in its post-migration boost window
-    /// (DESIGN.md §15). The home may grant past kMaxFaultAround (up to
+    /// (DESIGN.md §15). The home may grant past kFaultAroundWindow (up to
     /// kMaxWorksetAround), moves the window owned (kWorksetPush) and
     /// pushes before it replies. Occupies what was a padding hole, so the
     /// wire size (and the modeled copy cost of every existing batch fault)
@@ -269,20 +269,18 @@ inline std::size_t wire_bytes(const PageInvalidateRangeReq& r) {
            static_cast<std::size_t>(r.count) * sizeof(std::uint32_t);
 }
 
-// --- Distributed futex (kFutexWait / kFutexWake / kFutexGrant) -------------
+// --- Distributed futex (kFutexWait / kFutexWake / kFutexGrantBatch) --------
 
 struct FutexWaitReq {
     Pid pid;
     Tid tid;
     mem::Vaddr uaddr;
     std::uint32_t val;
+    /// The registering convoy head's kernel (DESIGN §13): the origin queues
+    /// one aggregate entry per (pid, uaddr, kernel), not one per waiter.
     topo::KernelId waiter_kernel;
-    /// Nonzero: convoy-head registration for the whole kernel (DESIGN §13).
-    /// The origin queues one aggregate entry per (pid, uaddr, kernel)
-    /// instead of one entry per waiter.
-    std::uint32_t aggregate = 0;
-    std::uint32_t count = 0;  ///< aggregate: local convoy size at send time
-    std::uint64_t epoch = 0;  ///< aggregate: sender's convoy clock at send
+    std::uint32_t count = 0;  ///< local convoy size at send time
+    std::uint64_t epoch = 0;  ///< sender's convoy clock at send
 };
 
 struct FutexWaitResp {
@@ -301,21 +299,6 @@ struct FutexWakeReq {
 
 struct FutexWakeResp {
     std::uint32_t woken;
-};
-
-struct FutexGrantMsg {
-    Pid pid;
-    Tid tid;
-};
-
-struct FutexCancelReq {
-    Pid pid;
-    Tid tid;
-    mem::Vaddr uaddr;
-};
-
-struct FutexCancelResp {
-    bool removed; ///< false => a grant was already issued; expect a wake
 };
 
 /// Origin -> kernel: wake up to `n` waiters from your local convoy for
@@ -366,14 +349,13 @@ struct MigrateReq {
     /// Pre-copy working set (DESIGN.md §15): the source's top-K hot VPNs,
     /// piggybacked on the checkpoint so the destination can pull them in one
     /// scatter round instead of demand-faulting each. Truncated on the wire
-    /// (see wire_bytes): with workset_push=0 the message ends exactly where
-    /// the pre-workset MigrateReq did, so the modeled transfer cost — and
-    /// every baseline derived from it — is unchanged when the feature is off.
+    /// (see wire_bytes) to the VPNs that ship, so a thread with a cold
+    /// tracker costs exactly the bare context.
     std::uint32_t workset_count;
     std::array<std::uint64_t, task::kMaxWorkset> workset_vpn;
 };
 
-/// Disabled-path wire size: ends right after ctx, as before the workset tail.
+/// Cold-tracker wire size: ends right after ctx.
 static_assert(offsetof(MigrateReq, workset_count) ==
                   sizeof(Pid) + sizeof(Tid) + 2 * sizeof(topo::KernelId) +
                       sizeof(task::ThreadContext),

@@ -432,35 +432,21 @@ std::uint32_t Elastic::evacuate_once() {
             drain_evacuated_.inc();
             ++moved;
             break;
-        case task::TaskState::kBlocked: {
+        case task::TaskState::kBlocked:
             // Withdraw the waiter, then wake it spuriously (legal under the
             // futex contract); the post-wait checkpoint migrates it and it
-            // re-waits over there. With the hierarchical tier the waiter
-            // usually parks in this kernel's own convoy — withdraw it there
-            // first (cancel_local also settles the origin's aggregate).
-            // uaddr 0 = wildcard: only the waiting fiber knows its word.
+            // re-waits over there. An origin is never drained, so every
+            // futex waiter here parks in this kernel's own convoy
+            // (cancel_local also settles the origin's aggregate).
             t->balance_target = target;
             if (k_.futex().cancel_local(t->pid, tid, t->origin)) {
                 k_.sched().wake(*t);
-                drain_evacuated_.inc();
-                ++moved;
-                break;
             }
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                t->origin,
-                msg::make_message(msg::MsgType::kFutexCancel, msg::MsgKind::kRequest,
-                                  core::FutexCancelReq{t->pid, tid, 0}),
-                &st);
-            if (reply == nullptr) break; // origin unreachable; its reap owns us
-            if (reply->payload_as<core::FutexCancelResp>().removed) {
-                k_.sched().wake(*t);
-            }
-            // !removed: a grant is already in flight and will wake it.
+            // Not in the convoy: a grant or handoff already popped it and
+            // its banked wake is on the way.
             drain_evacuated_.inc();
             ++moved;
             break;
-        }
         default:
             break; // kNew/kMigrating resolve on their own; revisit next sweep
         }

@@ -21,8 +21,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kPageInstalled: return "page_installed";
     case MsgType::kFutexWait: return "futex_wait";
     case MsgType::kFutexWake: return "futex_wake";
-    case MsgType::kFutexGrant: return "futex_grant";
-    case MsgType::kFutexCancel: return "futex_cancel";
     case MsgType::kFutexGrantBatch: return "futex_grant_batch";
     case MsgType::kFutexDeregister: return "futex_deregister";
     case MsgType::kTaskCensus: return "task_census";

@@ -43,8 +43,6 @@ enum class MsgType : std::uint16_t {
     // Distributed futex (core/dfutex)
     kFutexWait,         ///< queue a waiter at the origin futex table (blk)
     kFutexWake,         ///< wake up to n waiters at origin (blk)
-    kFutexGrant,        ///< origin -> waiter kernel: wake this task (nb)
-    kFutexCancel,       ///< waiter timed out: remove it from the queue (nb)
     kFutexGrantBatch,   ///< origin -> kernel: wake n from your local convoy (leaf)
     kFutexDeregister,   ///< kernel -> origin: local convoy drained (oneway, leaf)
     // Single-system image (core/ssi)

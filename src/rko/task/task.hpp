@@ -117,7 +117,7 @@ struct Task {
     std::uint32_t pending_workset_count = 0;
     /// Post-copy boost deadline: until this virtual time the destination
     /// treats this task's remote read faults as streaming (min-run 1,
-    /// window widened past kMaxFaultAround) so the tail outside the
+    /// window widened past kFaultAroundWindow) so the tail outside the
     /// shipped top-K streams in instead of trickling.
     Nanos workset_boost_until = 0;
 

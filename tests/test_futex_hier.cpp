@@ -1,10 +1,10 @@
 // Hierarchical futex tier (DESIGN.md §13): per-kernel convoy aggregation,
 // batched grants, local wake handoffs, and the owner-affinity census.
 //
-// Coverage: contended-mutex correctness across kernels with the hierarchy
-// on, off, and with the handoff budget pinned to zero; the message-count
-// win aggregation buys; drain evacuating parked convoy members through the
-// local wildcard cancel; short timeouts racing kFutexGrantBatch grants;
+// Coverage: contended-mutex correctness across kernels, also with the
+// handoff budget pinned to zero; the message-count win aggregation buys;
+// drain evacuating parked convoy members through the local wildcard
+// cancel; short timeouts racing kFutexGrantBatch grants;
 // cross-kernel barriers (wake-all fan-out); origin-local waits bypassing
 // the convoy tier entirely; the splitmix bucket hash's distribution; and
 // the hottest-word census the balancer gossips.
@@ -86,27 +86,22 @@ TEST(FutexHier, ContendedMutexCorrectAndHandsOff) {
     EXPECT_GT(counter_value(metrics, "futex.local_handoffs"), 0u);
 }
 
-// A whole convoy's worth of contenders on one remote kernel: the flat
-// protocol pays wait + grant RPCs per waiter per round, the hierarchy one
-// registration per convoy and zero-message local handoffs — strictly
-// fewer messages for the same exact result.
+// A whole convoy's worth of contenders on one remote kernel: one
+// registration per convoy and zero-message local handoffs, so the origin
+// serves fewer kFutexWait registrations than there are waits — a per-waiter
+// protocol would need one each.
 TEST(FutexHier, AggregationReducesMessages) {
     // A 20 us hold gives the convoy head's registration (which drags the
     // word's page to the origin) time to land, so followers aggregate and
     // handoffs run against a registered convoy.
     const auto on_k1 = [](int) { return topo::KernelId{1}; };
-    Machine hier(hier_config(8, 4));
-    EXPECT_EQ(run_contended_mutex(hier, 6, 10, 20_us, on_k1), 60u);
+    Machine machine(hier_config(8, 4));
+    EXPECT_EQ(run_contended_mutex(machine, 6, 10, 20_us, on_k1), 60u);
 
-    MachineConfig flat_config = hier_config(8, 4);
-    flat_config.futex_hierarchy = false;
-    Machine flat(flat_config);
-    EXPECT_EQ(run_contended_mutex(flat, 6, 10, 20_us, on_k1), 60u);
-
-    auto flat_metrics = flat.collect_metrics();
-    EXPECT_EQ(counter_value(flat_metrics, "futex.aggregated_waits"), 0u);
-    EXPECT_EQ(counter_value(flat_metrics, "futex.local_handoffs"), 0u);
-    EXPECT_LT(hier.total_messages(), flat.total_messages());
+    const std::uint64_t remote_waits = machine.kernel(1).futex().waits();
+    ASSERT_GT(remote_waits, 0u);
+    EXPECT_LT(machine.kernel(0).node().dispatched(msg::MsgType::kFutexWait),
+              remote_waits);
 }
 
 // futex_handoff_cap = 0 disables the local fast path outright: every wake
@@ -121,7 +116,7 @@ TEST(FutexHier, ZeroHandoffBudgetFallsBackToOrigin) {
 }
 
 // Waiters whose kernels match the origin never touch the convoy tier: the
-// single-kernel (SMP) machine runs the identical flat protocol.
+// single-kernel (SMP) machine queues every waiter at the origin.
 TEST(FutexHier, OriginLocalWaitsBypassConvoys) {
     Machine machine(hier_config(8, 1));
     EXPECT_EQ(run_contended_mutex(machine, 4, 10), 40u);

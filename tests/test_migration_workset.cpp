@@ -137,12 +137,10 @@ TEST(WorksetTracker, TopKTrackingAndDecay) {
 // faults the next sequential page. Before the arrival-time reset, the stale
 // last_fault_page/fault_run pair completed the run and fired a bogus
 // kPageFaultBatch; with the reset the revisit starts a fresh run and no
-// prefetch is ever issued.
+// prefetch is ever issued. The thread outlasts its post-migration boost
+// before that read, so the read is an ordinary stride-detector decision.
 TEST(WorksetMigration, StrideDetectorResetsOnRevisit) {
-    MachineConfig config = smp::popcorn_config(8, 4);
-    config.prefetch_window = 8;
-    config.workset_push = 0;
-    Machine machine(config);
+    Machine machine(smp::popcorn_config(8, 4));
     auto& process = machine.create_process(0);
     process.spawn(
         [](Guest& g) {
@@ -151,6 +149,7 @@ TEST(WorksetMigration, StrideDetectorResetsOnRevisit) {
             g.read<std::uint64_t>(buf + kPageSize);     // run = 2 (< min run 3)
             g.migrate(2);
             g.migrate(1); // revisit: old task record reactivated
+            g.compute(core::PageOwner::kWorksetBoostNs + 1_us);
             g.read<std::uint64_t>(buf + 2 * kPageSize); // fresh run, not 3
         },
         1);
@@ -169,74 +168,96 @@ struct RetouchResult {
     std::uint64_t pushed = 0;
     std::uint64_t hit = 0;
     std::uint64_t wasted = 0;
+    std::uint64_t prefetched = 0;
 };
 
-RetouchResult run_retouch(int workset_push, int home_shards, int pages) {
+/// How the written pages reach k1: the writer itself migrates there and
+/// retouches them (working-set pull, then boosted batches), or a reader
+/// spawned on k1 that never migrated demand-faults them in descending
+/// order, which the +1-page stride detector never follows.
+enum class Retouch { kMigrate, kDemand };
+
+RetouchResult run_retouch(Retouch how, int home_shards, int pages) {
     MachineConfig config = smp::popcorn_config(8, 4);
-    config.workset_push = workset_push;
     config.home_shards = home_shards;
     RetouchResult r;
     r.values.resize(static_cast<std::size_t>(pages));
     Machine machine(config);
     auto& process = machine.create_process(0);
-    process.spawn(
+    Vaddr buf = 0;
+    const auto retouch = [&](Guest& g) {
+        const Nanos t0 = g.now();
+        for (int n = 0; n < pages; ++n) {
+            const int p = how == Retouch::kMigrate ? n : pages - 1 - n;
+            r.values[static_cast<std::size_t>(p)] = g.read<std::uint64_t>(
+                buf + static_cast<Vaddr>(p) * kPageSize);
+        }
+        g.flush_timing();
+        r.retouch = g.now() - t0;
+    };
+    auto& writer = process.spawn(
         [&](Guest& g) {
-            const Vaddr buf =
-                g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
+            buf = g.mmap(static_cast<std::uint64_t>(pages) * kPageSize);
             for (int p = 0; p < pages; ++p) {
                 g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
                                        0x1000u + static_cast<std::uint64_t>(p));
             }
             g.flush_timing();
+            if (how == Retouch::kDemand) return;
             g.migrate(1);
-            const Nanos t0 = g.now();
-            for (int p = 0; p < pages; ++p) {
-                r.values[static_cast<std::size_t>(p)] = g.read<std::uint64_t>(
-                    buf + static_cast<Vaddr>(p) * kPageSize);
-            }
-            g.flush_timing();
-            r.retouch = g.now() - t0;
+            retouch(g);
         },
         0);
+    if (how == Retouch::kDemand) {
+        process.spawn(
+            [&](Guest& g) {
+                g.join(writer);
+                g.flush_timing();
+                retouch(g);
+            },
+            1);
+    }
     machine.run();
     process.check_all_joined();
     auto metrics = machine.collect_metrics();
     r.pushed = counter_value(metrics, "migration.workset.pushed");
     r.hit = counter_value(metrics, "migration.workset.hit");
     r.wasted = counter_value(metrics, "migration.workset.wasted");
+    r.prefetched = counter_value(metrics, "pages.prefetch.issued");
     return r;
 }
 
 TEST(WorksetMigration, PushAndDemandAgreeOnGuestState) {
-    const RetouchResult demand = run_retouch(/*workset_push=*/0,
+    const RetouchResult demand = run_retouch(Retouch::kDemand,
                                              /*home_shards=*/1, /*pages=*/48);
-    const RetouchResult push = run_retouch(/*workset_push=*/32,
+    const RetouchResult push = run_retouch(Retouch::kMigrate,
                                            /*home_shards=*/1, /*pages=*/48);
     // Pre-copy is a pure latency optimization: every byte the guest can
-    // observe is identical to the demand-only protocol.
+    // observe is identical to plain demand faulting.
     EXPECT_EQ(demand.values, push.values);
     for (int p = 0; p < 48; ++p) {
         EXPECT_EQ(demand.values[static_cast<std::size_t>(p)],
                   0x1000u + static_cast<std::uint64_t>(p));
     }
-    // The demand run never speaks the workset protocol.
+    // The demand run never speaks the workset or fault-around protocol.
     EXPECT_EQ(demand.pushed, 0u);
     EXPECT_EQ(demand.hit, 0u);
+    EXPECT_EQ(demand.prefetched, 0u);
     // The push run pre-copied the tracked top-K and every push landed
     // (nothing raced the installs in this single-thread workload).
     EXPECT_GE(push.pushed, task::kMaxWorkset / 2);
     EXPECT_EQ(push.hit, push.pushed);
     EXPECT_EQ(push.wasted, 0u);
-    // And it is what the tentpole promises: cheaper re-touch.
+    // And it pays: the re-touch is cheaper.
     EXPECT_LT(push.retouch, demand.retouch);
 }
 
 // --- Sharded homes serve the pull round identically --------------------------
 
 TEST(WorksetMigration, ShardedAndUnshardedAgree) {
-    const RetouchResult unsharded = run_retouch(/*workset_push=*/32,
+    const RetouchResult unsharded = run_retouch(Retouch::kMigrate,
                                                 /*home_shards=*/1, /*pages=*/48);
-    const RetouchResult sharded = run_retouch(/*workset_push=*/32,
+    const RetouchResult sharded = run_retouch(Retouch::kMigrate,
                                               /*home_shards=*/4, /*pages=*/48);
     EXPECT_EQ(unsharded.values, sharded.values);
     // Sharded pulls fan out per home; pages homed at the destination are
@@ -638,7 +659,6 @@ TEST(WorksetMigration, PushToKilledDestinationFailsCleanly) {
     for (const Nanos kill_at :
          {218_us, 224_us, 230_us, 238_us, 241_us, 244_us, 250_us, 300_us}) {
         MachineConfig config = smp::popcorn_config(8, 4);
-        config.workset_push = 32;
         config.frames_per_kernel = 4096;
         config.balance.policy = balance::Policy::kIdleSteal;
         config.balance.period = 20_us;

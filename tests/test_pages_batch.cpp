@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -215,6 +218,70 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
     EXPECT_TRUE(process.threads().back()->segfaulted());
 }
 
+// A holder serves a kPageInvalidateRange whose wire-supplied `count` claims
+// more offsets than the message carries (and, twice, more than the array
+// holds): it must touch only the carried offsets. The request names pages
+// 1 and 2 of a region k1 owns; the uncarried array slots are zero, so an
+// over-read would also drop page 0.
+TEST(RangedRevoke, HolderClipsWireSuppliedCount) {
+    constexpr int kPages = 8;
+    for (const std::uint32_t count :
+         {3u, core::PageInvalidateRangeReq::kMaxPages + 88,
+          std::numeric_limits<std::uint32_t>::max()}) {
+        Machine machine(smp::popcorn_config(4, 2));
+        auto& process = machine.create_process(0);
+        const Pid pid = process.pid();
+        Vaddr buf = 0;
+        bool written = false, injected = false;
+        std::uint32_t touched = 0;
+        std::array<bool, kPages> present{};
+        process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize, 1);
+                }
+                written = true;
+                while (!injected) g.compute(1_us);
+                // The out-of-band drop left the directory naming k1 as the
+                // holder of pages it no longer maps; the munmap erases those
+                // entries before the quiesce audit.
+                g.munmap(buf, kPages * kPageSize);
+            },
+            1);
+        sim::Actor injector(machine.engine(), "injector", [&](sim::Actor& self) {
+            while (!written) self.sleep_for(1_us);
+            core::PageInvalidateRangeReq req{};
+            req.pid = pid;
+            req.op = core::InvalidateRangeOp::kDrop;
+            req.count = count;
+            req.base_vpn = mem::vpn_of(buf);
+            req.vpn_offset[0] = 1;
+            req.vpn_offset[1] = 2;
+            const std::size_t carried =
+                offsetof(core::PageInvalidateRangeReq, vpn_offset) + 2 * sizeof(std::uint32_t);
+            const auto reply = machine.kernel(0).node().rpc(
+                1, msg::make_message_prefix(msg::MsgType::kPageInvalidateRange,
+                                            msg::MsgKind::kRequest, req, carried));
+            touched = reply->payload_as<core::PageInvalidateRangeResp>().touched;
+            auto& pt = machine.kernel(1).site(pid).space().page_table();
+            for (int p = 0; p < kPages; ++p) {
+                const mem::Pte* pte = pt.find(buf + static_cast<Vaddr>(p) * kPageSize);
+                present[static_cast<std::size_t>(p)] = pte != nullptr && pte->present;
+            }
+            injected = true;
+        });
+        injector.start();
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(touched, 2u) << "count " << count;
+        for (int p = 0; p < kPages; ++p) {
+            EXPECT_EQ(present[static_cast<std::size_t>(p)], p != 1 && p != 2)
+                << "count " << count << ", page " << p;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Parallel invalidation fan-out.
 // ---------------------------------------------------------------------------
@@ -347,9 +414,12 @@ struct StreamRun {
     std::uint64_t issued = 0, hit = 0, wasted = 0;
 };
 
-StreamRun stream_pages(int pages, int window, std::uint64_t seed = 1) {
+/// Sweep order of the reader. The stride detector follows +1-page runs
+/// only, so a descending sweep demand-faults every page.
+enum class Sweep { kAscending, kDescending };
+
+StreamRun stream_pages(int pages, Sweep sweep, std::uint64_t seed = 1) {
     auto config = smp::popcorn_config(4, 2);
-    config.prefetch_window = window;
     config.seed = seed;
     Machine machine(config);
     auto& process = machine.create_process(0);
@@ -369,7 +439,8 @@ StreamRun stream_pages(int pages, int window, std::uint64_t seed = 1) {
             const Vaddr buf = mem::kMmapBase;
             out.move_time = timed(g, [&] {
                 std::uint64_t sum = 0;
-                for (int i = 0; i < pages; ++i) {
+                for (int n = 0; n < pages; ++n) {
+                    const int i = sweep == Sweep::kAscending ? n : pages - 1 - n;
                     sum += g.read<std::uint64_t>(buf +
                                                  static_cast<Vaddr>(i) * kPageSize);
                 }
@@ -392,25 +463,19 @@ StreamRun stream_pages(int pages, int window, std::uint64_t seed = 1) {
 }
 } // namespace
 
+// A sweep with no +1-page stride never arms fault-around: every page is a
+// plain demand fault, with no batched request and no push on the wire.
 TEST(Prefetch, WindowOffIsPlainDemandProtocol) {
-    for (const int window : {0, 1}) {
-        const StreamRun run = stream_pages(16, window);
-        EXPECT_EQ(run.batch_faults, 0u) << "window " << window;
-        EXPECT_EQ(run.pushes, 0u) << "window " << window;
-        EXPECT_EQ(run.issued, 0u) << "window " << window;
-    }
-    // Both disabled settings are the same machine.
-    const StreamRun off0 = stream_pages(16, 0);
-    const StreamRun off1 = stream_pages(16, 1);
-    EXPECT_EQ(off0.vtime, off1.vtime);
-    EXPECT_EQ(off0.messages, off1.messages);
-    EXPECT_EQ(off0.bytes, off1.bytes);
+    const StreamRun run = stream_pages(16, Sweep::kDescending);
+    EXPECT_EQ(run.batch_faults, 0u);
+    EXPECT_EQ(run.pushes, 0u);
+    EXPECT_EQ(run.issued, 0u);
 }
 
 TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
     RKO_SKIP_IF_SHARDED();
-    const StreamRun demand = stream_pages(32, 1);
-    const StreamRun pf = stream_pages(32, 8);
+    const StreamRun demand = stream_pages(32, Sweep::kDescending);
+    const StreamRun pf = stream_pages(32, Sweep::kAscending);
     EXPECT_GT(pf.batch_faults, 0u);
     EXPECT_GT(pf.pushes, 0u);
     EXPECT_GT(pf.issued, 0u);
@@ -423,8 +488,8 @@ TEST(Prefetch, BatchesAndBeatsDemandFaulting) {
 }
 
 TEST(Prefetch, SameSeedRunsAreBitIdentical) {
-    const StreamRun a = stream_pages(24, 8, /*seed=*/5);
-    const StreamRun b = stream_pages(24, 8, /*seed=*/5);
+    const StreamRun a = stream_pages(24, Sweep::kAscending, /*seed=*/5);
+    const StreamRun b = stream_pages(24, Sweep::kAscending, /*seed=*/5);
     EXPECT_EQ(a.vtime, b.vtime);
     EXPECT_EQ(a.move_time, b.move_time);
     EXPECT_EQ(a.messages, b.messages);
@@ -439,11 +504,7 @@ TEST(Prefetch, StopsAtVmaBoundary) {
     // windows are clipped to the faulting VMA, so no page of the second may
     // appear at the reader — even though the VMAs are contiguous.
     constexpr int kPages = 8;
-    Machine machine([] {
-        auto config = smp::popcorn_config(4, 2);
-        config.prefetch_window = 8;
-        return config;
-    }());
+    Machine machine(smp::popcorn_config(4, 2));
     auto& process = machine.create_process(0);
     const Pid pid = process.pid();
     Vaddr first = 0, second = 0;
@@ -486,11 +547,7 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
     // a read fault would), never page by page, and k2 pushes the replicas
     // straight to the reader.
     constexpr int kPages = 16;
-    Machine machine([] {
-        auto config = smp::popcorn_config(6, 3);
-        config.prefetch_window = 8;
-        return config;
-    }());
+    Machine machine(smp::popcorn_config(6, 3));
     auto& process = machine.create_process(0);
     const Pid pid = process.pid();
     msg::Node& home = machine.kernel(0).node();
@@ -569,7 +626,6 @@ TEST(Prefetch, SurvivesMunmapRace) {
     // wasted), their busy bits released, and the machine must quiesce.
     for (const std::uint64_t seed : {3ULL, 9ULL, 31ULL}) {
         auto config = smp::popcorn_config(4, 2);
-        config.prefetch_window = 8;
         config.seed = seed;
         config.shuffle_ties = true;
         config.fabric.delivery_jitter = 300;

@@ -68,6 +68,28 @@ void BM_EngineSleepDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSleepDispatch);
 
+// The same lone sleeper driven by run_until: nothing else can run before
+// its wake-up, so each sleep advances the clock in place without leaving
+// the fiber (engine.hpp). One item is one sleep.
+void BM_EngineSleepInline(benchmark::State& state) {
+    constexpr Nanos kBatch = 64;
+    sim::Engine engine;
+    bool stop = false;
+    sim::Actor a(engine, "sleeper", [&](sim::Actor& self) {
+        while (!stop) self.sleep_for(10);
+    });
+    a.start();
+    engine.run_until(0);
+    const std::uint64_t before = engine.dispatch_count();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.run_until(engine.now() + 10 * kBatch));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(engine.dispatch_count() - before));
+    stop = true;
+    engine.run();
+}
+BENCHMARK(BM_EngineSleepInline);
+
 void BM_SimSpinLockCycle(benchmark::State& state) {
     sim::Engine engine;
     sim::SpinLock lock;

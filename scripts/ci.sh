@@ -23,9 +23,9 @@
 #                sweep with 4-way sharded homes (RKO_HOME_SHARDS=4);
 #                failures print the offending seed and its repro line
 #   7. bench:    quick page-fault + rebalance + futex + migration + mmap-scale
-#                + apps benches vs the committed baselines — virtual time is exactly
-#                reproducible, so any >10% drift in a key protocol latency
-#                is a real regression
+#                + apps + spawn + messaging benches vs the committed
+#                baselines — virtual time is exactly reproducible, so any
+#                >10% drift in a key protocol latency is a real regression
 #
 # Usage: scripts/ci.sh [--quick]   (--quick: 25 explore seeds, skip sanitizers)
 set -e
@@ -124,6 +124,20 @@ scripts/bench_compare.py bench/baselines/bench_apps_quick.json \
     build/bench_out/bench_apps_quick.json \
     --key "is.*_ns" --key "cg.*_ns" --key "churn.*_ns" \
   || fail bench "scripts/bench_compare.py bench/baselines/bench_apps_quick.json build/bench_out/bench_apps_quick.json --key 'is.*_ns' --key 'cg.*_ns' --key 'churn.*_ns'"
+./build/bench/bench_spawn --quick \
+    --json=build/bench_out/bench_spawn_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_spawn --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_spawn_quick.json \
+    build/bench_out/bench_spawn_quick.json \
+    --key "spawn.*_ns.mean" --key "storm.*_spawn_ns" --key "endtoend.*_total_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_spawn_quick.json build/bench_out/bench_spawn_quick.json --key 'spawn.*_ns.mean' --key 'storm.*_spawn_ns' --key 'endtoend.*_total_ns'"
+./build/bench/bench_messaging --quick \
+    --json=build/bench_out/bench_messaging_quick.json >/dev/null \
+  || fail bench "./build/bench/bench_messaging --quick --json=..."
+scripts/bench_compare.py bench/baselines/bench_messaging_quick.json \
+    build/bench_out/bench_messaging_quick.json \
+    --key "pingpong.*.rtt_ns" --key "pairs.*.rtt_ns" --key "wire.*.rtt_ns" \
+  || fail bench "scripts/bench_compare.py bench/baselines/bench_messaging_quick.json build/bench_out/bench_messaging_quick.json --key 'pingpong.*.rtt_ns' --key 'pairs.*.rtt_ns' --key 'wire.*.rtt_ns'"
 
 echo ""
 echo "ci.sh: all stages green"

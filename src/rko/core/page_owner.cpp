@@ -70,6 +70,17 @@ bool drop_holder(PageDirEntry& entry, topo::KernelId k) {
     return entry.sharers != 0;
 }
 
+/// How many slots of a leaf request's trailing `array` (at byte `head`) to
+/// read: the wire-supplied `count`, clipped to the array and to what the
+/// message actually carries (wire_bytes truncates the array to `count`).
+template <typename Elem, std::size_t N>
+std::size_t carried_count(const msg::Message& m, std::uint32_t count, std::size_t head,
+                          const std::array<Elem, N>& /*array*/) {
+    const std::size_t carried =
+        m.hdr.payload_size > head ? (m.hdr.payload_size - head) / sizeof(Elem) : 0;
+    return std::min<std::size_t>({count, N, carried});
+}
+
 /// Shared tail of commit_install/abandon_pending: applies `updated` (ok) or
 /// removes the requester from the holder set (!ok: it abandoned the install
 /// — racing munmap, or it died). Shard lock held.
@@ -852,16 +863,30 @@ bool claim_busy(sim::Engine& engine, msg::Node& node,
 
 /// Collects the vpns in [lo, hi) present in the shard right now, sorted —
 /// hash-map iteration order must not leak into message contents, or
-/// same-seed runs would stop being bit-identical.
+/// same-seed runs would stop being bit-identical. A range spanning at most
+/// entries × kDirShards vpns is probed vpn by vpn (O(range)); a wider one
+/// is scanned (O(entries)).
 std::vector<std::uint64_t> collect_vpns(ProcessSite::DirShard& shard,
                                         std::uint64_t vpn_lo, std::uint64_t vpn_hi) {
+    constexpr auto kStride = static_cast<std::uint64_t>(ProcessSite::kDirShards);
     std::vector<std::uint64_t> vpns;
     shard.lock.lock();
-    for (const auto& [vpn, entry] : shard.entries) {
-        if (vpn >= vpn_lo && vpn < vpn_hi) vpns.push_back(vpn);
+    if (!shard.entries.empty() && vpn_lo < vpn_hi &&
+        vpn_hi - vpn_lo <= shard.entries.size() * kStride) {
+        // Every vpn of a shard shares one residue mod kDirShards
+        // (ProcessSite::dir_shard), so only those vpns need a probe.
+        const std::uint64_t residue = shard.entries.begin()->first % kStride;
+        for (std::uint64_t vpn = vpn_lo + (residue + kStride - vpn_lo % kStride) % kStride;
+             vpn < vpn_hi; vpn += kStride) {
+            if (shard.entries.contains(vpn)) vpns.push_back(vpn);
+        }
+    } else {
+        for (const auto& [vpn, entry] : shard.entries) {
+            if (vpn >= vpn_lo && vpn < vpn_hi) vpns.push_back(vpn);
+        }
+        std::sort(vpns.begin(), vpns.end());
     }
     shard.lock.unlock();
-    std::sort(vpns.begin(), vpns.end());
     return vpns;
 }
 
@@ -2155,15 +2180,8 @@ void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
     PageInvalidateRangeResp resp{};
     if (k_.has_site(req.pid)) {
         ProcessSite& site = k_.site(req.pid);
-        // `count` is wire-supplied: never read past the offsets the message
-        // actually carries (wire_bytes truncates the array to `count`).
-        const std::size_t head = offsetof(PageInvalidateRangeReq, vpn_offset);
-        const std::size_t carried =
-            m->hdr.payload_size > head
-                ? (m->hdr.payload_size - head) / sizeof(std::uint32_t)
-                : 0;
-        const std::size_t count = std::min<std::size_t>(
-            {req.count, PageInvalidateRangeReq::kMaxPages, carried});
+        const std::size_t count = carried_count(
+            *m, req.count, offsetof(PageInvalidateRangeReq, vpn_offset), req.vpn_offset);
         std::vector<std::uint64_t> vpns;
         vpns.reserve(count);
         for (std::size_t i = 0; i < count; ++i) {
@@ -2230,8 +2248,8 @@ void PageOwner::on_page_surrender(msg::Node& node, msg::MessagePtr m) {
     PageSurrenderResp resp{};
     std::vector<mem::Paddr> freed;
     if (k_.has_site(req.pid)) {
-        // `count` is wire-supplied: never read past the arrays.
-        std::vector<Capture> batch(std::min(req.count, PageSurrenderReq::kMaxPages));
+        std::vector<Capture> batch(
+            carried_count(*m, req.count, offsetof(PageSurrenderReq, vpn), req.vpn));
         for (std::size_t i = 0; i < batch.size(); ++i) {
             batch[i].page = static_cast<mem::Vaddr>(req.vpn[i]) << mem::kPageShift;
             batch[i].mode = req.mode[i];
@@ -2254,8 +2272,8 @@ void PageOwner::on_workset_pull(msg::Node& node, msg::MessagePtr m) {
     std::vector<mem::Paddr> freed;
     if (k_.has_site(req.pid) && !k_.node().peer_dead(req.requester)) {
         ProcessSite& site = k_.site(req.pid);
-        // `count` is wire-supplied: never read past the VPN array.
-        const std::uint32_t count = std::min<std::uint32_t>(req.count, task::kMaxWorkset);
+        const std::size_t count =
+            carried_count(*m, req.count, offsetof(WorksetPullReq, vpn), req.vpn);
         const auto grants = claim_pages(site, {req.vpn.data(), count}, req.requester);
         resp.granted = push_pages(site, grants, req.requester, /*owned=*/true, &freed);
     }

@@ -10,11 +10,14 @@ constexpr std::size_t kNil = static_cast<std::size_t>(-1);
 
 FrameAllocator::FrameAllocator(PhysMem& phys, topo::KernelId home,
                                const topo::CostModel& costs)
-    : phys_(phys), home_(home), costs_(costs), total_frames_(phys.frames_per_kernel()) {
+    : phys_(phys),
+      home_(home),
+      costs_(costs),
+      total_frames_(phys.frames_per_kernel()),
+      next_(make_zero_array<std::size_t>(total_frames_)),
+      prev_(make_zero_array<std::size_t>(total_frames_)),
+      free_order_(make_zero_array<std::uint8_t>(total_frames_)) {
     free_lists_.assign(kMaxOrder + 1, kNil);
-    free_order_.assign(total_frames_, -1);
-    next_.assign(total_frames_, kNil);
-    prev_.assign(total_frames_, kNil);
     // Seed with maximal aligned blocks.
     std::size_t index = 0;
     while (index < total_frames_) {
@@ -35,7 +38,7 @@ void FrameAllocator::push_free(std::size_t index, int order) {
     prev_[index] = kNil;
     if (head != kNil) prev_[head] = index;
     head = index;
-    free_order_[index] = static_cast<std::int8_t>(order);
+    free_order_[index] = static_cast<std::uint8_t>(order + 1);
     free_frames_ += 1ULL << order;
 }
 
@@ -47,7 +50,7 @@ void FrameAllocator::remove_free(std::size_t index, int order) {
         head = next_[index];
     }
     if (next_[index] != kNil) prev_[next_[index]] = prev_[index];
-    free_order_[index] = -1;
+    free_order_[index] = 0;
     free_frames_ -= 1ULL << order;
 }
 
@@ -95,11 +98,11 @@ void FrameAllocator::free(Paddr paddr, int order) {
     sim::current_actor().sleep_for(costs_.frame_alloc_path);
 
     std::size_t index = phys_.frame_index(paddr);
-    RKO_ASSERT_MSG(free_order_[index] < 0, "double free");
+    RKO_ASSERT_MSG(free_order_[index] == 0, "double free");
     while (order < kMaxOrder) {
         const std::size_t buddy = buddy_of(index, order);
         if (buddy >= total_frames_ ||
-            free_order_[buddy] != static_cast<std::int8_t>(order)) {
+            free_order_[buddy] != static_cast<std::uint8_t>(order + 1)) {
             break;
         }
         remove_free(buddy, order);

@@ -57,12 +57,14 @@ private:
     std::uint64_t failed_ = 0;
     // Intrusive doubly-linked free lists: free_lists_[o] is the head frame
     // index of the free 2^o-block list (kNil if empty); next_/prev_ chain
-    // blocks by their first frame; free_order_[i] is the order of the free
-    // block headed at i, or -1.
+    // blocks by their first frame and are meaningful only at free-block
+    // heads; free_order_[i] is 1 + the order of the free block headed at
+    // i, or 0. All-zero therefore means "no free blocks", so the per-frame
+    // arrays are zero pages and only block heads ever get written.
     std::vector<std::size_t> free_lists_;
-    std::vector<std::size_t> next_;
-    std::vector<std::size_t> prev_;
-    std::vector<std::int8_t> free_order_;
+    ZeroArray<std::size_t> next_;
+    ZeroArray<std::size_t> prev_;
+    ZeroArray<std::uint8_t> free_order_;
 };
 
 } // namespace rko::mem

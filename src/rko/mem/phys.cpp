@@ -1,16 +1,30 @@
 #include "rko/mem/phys.hpp"
 
+#include <sys/mman.h>
+
 namespace rko::mem {
+
+void* map_zero_pages(std::size_t bytes) {
+    RKO_ASSERT(bytes > 0);
+    void* map = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    RKO_ASSERT_MSG(map != MAP_FAILED, "zero-page mmap failed");
+    return map;
+}
+
+void ZeroPagesDeleter::operator()(void* p) const {
+    if (p != nullptr) ::munmap(p, bytes);
+}
 
 PhysMem::PhysMem(int nkernels, std::size_t frames_per_kernel)
     : nkernels_(nkernels), frames_per_kernel_(frames_per_kernel) {
     RKO_ASSERT(nkernels >= 1 && frames_per_kernel >= 1);
     partitions_.reserve(static_cast<std::size_t>(nkernels));
     for (int k = 0; k < nkernels; ++k) {
-        // Value-initialized: frames start zeroed, like RAM after kernel boot
-        // scrubbing. Guest-visible zeroing cost is charged at allocation.
-        partitions_.push_back(
-            std::make_unique<std::byte[]>(frames_per_kernel * kPageSize));
+        // Zero pages on first touch: frames start zeroed, like RAM after
+        // kernel boot scrubbing, without the host paying for the scrub.
+        // Guest-visible zeroing cost is charged at allocation.
+        partitions_.push_back(make_zero_array<std::byte>(frames_per_kernel * kPageSize));
     }
 }
 

@@ -1,13 +1,16 @@
 // Simulated physical memory, partitioned per kernel.
 //
 // At boot Popcorn carves the machine's RAM into per-kernel partitions; we
-// model each partition as a host allocation. A Paddr encodes (kernel,
-// frame): paddr = (global_frame_index + 1) * kPageSize, so paddr 0 stays an
-// invalid sentinel.
+// model each partition as one anonymous host mapping whose pages are zero
+// on first touch, so a machine costs host memory only for the frames its
+// guests actually use. A Paddr encodes (kernel, frame): paddr =
+// (global_frame_index + 1) * kPageSize, so paddr 0 stays an invalid
+// sentinel.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "rko/base/assert.hpp"
@@ -15,6 +18,28 @@
 #include "rko/topo/topology.hpp"
 
 namespace rko::mem {
+
+/// Unmaps a ZeroArray's mapping.
+struct ZeroPagesDeleter {
+    std::size_t bytes = 0;
+    void operator()(void* p) const;
+};
+
+/// An array of `n` zero-valued Ts in one anonymous private mapping. The
+/// host hands out zero pages lazily, so untouched elements cost neither
+/// resident memory nor a memset. Backs guest RAM and the frame
+/// allocator's per-frame metadata.
+template <typename T>
+using ZeroArray = std::unique_ptr<T[], ZeroPagesDeleter>;
+
+void* map_zero_pages(std::size_t bytes);
+
+template <typename T>
+ZeroArray<T> make_zero_array(std::size_t n) {
+    static_assert(std::is_trivial_v<T>, "zero pages are only a valid T if T is trivial");
+    const std::size_t bytes = n * sizeof(T);
+    return ZeroArray<T>(static_cast<T*>(map_zero_pages(bytes)), ZeroPagesDeleter{bytes});
+}
 
 class PhysMem {
 public:
@@ -51,7 +76,7 @@ private:
 
     int nkernels_;
     std::size_t frames_per_kernel_;
-    std::vector<std::unique_ptr<std::byte[]>> partitions_;
+    std::vector<ZeroArray<std::byte>> partitions_;
 };
 
 } // namespace rko::mem

@@ -47,11 +47,17 @@ void Actor::sleep_for(Nanos d) {
     RKO_ASSERT(&engine_.current() == this);
     RKO_ASSERT(d >= 0);
     if (d == 0) return;
-    state_ = State::kReady;
-    engine_.schedule(*this, engine_.now() + d, ++generation_);
-    switch_to_engine();
-    // Back from a suspension: other actors may have run. (The permit fast
-    // paths in park/park_for skip this — nothing interleaved there.)
+    if (engine_.advance_inline(engine_.now() + d)) {
+        ++generation_; // as if a wake-up event had been queued and dispatched
+    } else {
+        state_ = State::kReady;
+        engine_.schedule(*this, engine_.now() + d, ++generation_);
+        switch_to_engine();
+    }
+    // Back from a suspension: other actors may have run. An inline advance
+    // reports the resume too, so the detector sees the same call sequence
+    // either way. (The permit fast paths in park/park_for skip this —
+    // nothing interleaved there.)
     if (race::enabled()) race::on_actor_resumed(*this);
 }
 

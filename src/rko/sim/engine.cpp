@@ -23,6 +23,19 @@ void Engine::schedule(Actor& actor, Nanos at, std::uint64_t generation) {
     events_.push(Event{at, seq_++, &actor, generation, key});
 }
 
+bool Engine::advance_inline(Nanos at) {
+    if (at > inline_limit_) return false;
+    purge_stale();
+    // Strict: an equal-time event keeps its (at, key, seq) order through
+    // the queue.
+    if (!events_.empty() && events_.top().at <= at) return false;
+    if (shuffle_ties_) (void)shuffle_rng_.next();
+    ++seq_;
+    now_ = at;
+    ++dispatches_;
+    return true;
+}
+
 // Drops events whose actor was rescheduled (newer generation) or finished.
 void Engine::purge_stale() {
     while (!events_.empty()) {
@@ -56,15 +69,13 @@ bool Engine::step_bounded(Nanos deadline) {
 
 bool Engine::step() { return step_bounded(std::numeric_limits<Nanos>::max()); }
 
-Nanos Engine::run() {
-    while (step()) {
-    }
-    return now_;
-}
+Nanos Engine::run() { return run_until(std::numeric_limits<Nanos>::max()); }
 
 Nanos Engine::run_until(Nanos deadline) {
+    inline_limit_ = deadline;
     while (step_bounded(deadline)) {
     }
+    inline_limit_ = -1;
     return now_;
 }
 

@@ -11,6 +11,13 @@
 // Same-timestamp events — exactly the set whose order the simulated hardware
 // does not constrain — then dispatch in a seed-dependent permutation while
 // the run stays bit-for-bit reproducible for that seed.
+//
+// Inline sleeps: inside run()/run_until(), a sleep that would wake strictly
+// before every other live event (and no later than the deadline) cannot be
+// observed by anyone, so the sleeper keeps the host thread and the clock
+// advances in place. It still consumes the seq (and shuffle key) and counts
+// as a dispatch, so the schedule and dispatch_count() match the queued path
+// (DESIGN.md §2). step()/step_n() never advance inline.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +101,10 @@ public:
 
     // --- engine-internal interface used by Actor ---
     void schedule(Actor& actor, Nanos at, std::uint64_t generation);
+    /// The current actor's sleep until `at`: advances the clock in place
+    /// and returns true when nothing else could run first (see the file
+    /// comment), else returns false and the caller schedules and yields.
+    bool advance_inline(Nanos at);
     Context& main_context() { return main_ctx_; }
 
 private:
@@ -125,6 +136,9 @@ private:
     Context main_ctx_;
     Actor* current_ = nullptr;
     Nanos now_ = 0;
+    /// Latest time an inline sleep may reach: run_until's deadline while
+    /// it runs, else -1 (no inline advance).
+    Nanos inline_limit_ = -1;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatches_ = 0;
     trace::Tracer* tracer_ = nullptr;

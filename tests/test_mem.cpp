@@ -114,6 +114,56 @@ TEST(FrameAllocator, ZeroedPageIsZero) {
     });
 }
 
+TEST(ZeroArray, StartsZeroedAndIsWritable) {
+    auto words = make_zero_array<std::uint64_t>(3 * kPageSize);
+    for (std::size_t i = 0; i < 3 * kPageSize; i += 511) EXPECT_EQ(words[i], 0u);
+    words[kPageSize] = 42;
+    EXPECT_EQ(words[kPageSize], 42u);
+    EXPECT_EQ(words[kPageSize + 1], 0u);
+}
+
+// Guest RAM is zero pages on first touch: a frame nobody ever wrote reads
+// zero straight from alloc().
+TEST(FrameAllocator, NeverTouchedFrameReadsZero) {
+    in_sim([](Actor&) {
+        PhysMem phys(2, 1024);
+        topo::CostModel costs;
+        FrameAllocator alloc(phys, 1, costs);
+        const Paddr p = alloc.alloc();
+        const std::byte* frame = phys.frame_ptr(p);
+        for (std::size_t i = 0; i < kPageSize; ++i) {
+            ASSERT_EQ(frame[i], std::byte{0});
+        }
+    });
+}
+
+// The buddy metadata starts as zero pages (free_order_ 0 = "not a free
+// head"): splitting a fresh max-order block all the way down and freeing
+// it in a scrambled order must merge back into max-order blocks.
+TEST(FrameAllocator, SplitAndMergeRestoreMaxOrderBlocks) {
+    in_sim([](Actor&) {
+        constexpr std::size_t kFrames = 2u << FrameAllocator::kMaxOrder;
+        PhysMem phys(1, kFrames);
+        topo::CostModel costs;
+        FrameAllocator alloc(phys, 0, costs);
+        std::vector<Paddr> pages;
+        for (std::size_t i = 0; i < kFrames / 2; ++i) pages.push_back(alloc.alloc(0));
+        const Paddr big = alloc.alloc(FrameAllocator::kMaxOrder);
+        ASSERT_NE(big, 0u);
+        EXPECT_EQ(alloc.alloc(FrameAllocator::kMaxOrder), 0u);
+        for (std::size_t i = 0; i < pages.size(); i += 2) alloc.free(pages[i]);
+        EXPECT_EQ(alloc.alloc(1), 0u); // only order-0 holes so far
+        for (std::size_t i = 1; i < pages.size(); i += 2) alloc.free(pages[i]);
+        alloc.free(big, FrameAllocator::kMaxOrder);
+        EXPECT_EQ(alloc.free_frames(), kFrames);
+        const Paddr a = alloc.alloc(FrameAllocator::kMaxOrder);
+        const Paddr b = alloc.alloc(FrameAllocator::kMaxOrder);
+        EXPECT_NE(a, 0u);
+        EXPECT_NE(b, 0u);
+        EXPECT_EQ(alloc.free_frames(), 0u);
+    });
+}
+
 TEST(FrameAllocator, PartitionHonoursHomeKernel) {
     in_sim([](Actor&) {
         PhysMem phys(2, 32);

@@ -16,7 +16,9 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -721,6 +723,157 @@ TEST(WorksetMigration, PushToKilledDestinationFailsCleanly) {
             want += 0x2000u + static_cast<std::uint64_t>(p);
         }
         EXPECT_EQ(sum, want) << "kill_at=" << kill_at;
+    }
+}
+
+// --- Wire-supplied counts --------------------------------------------------
+//
+// A leaf handler must read only the VPNs a message carries, whatever its
+// `count` says: carried+1, more than the array holds, and UINT32_MAX. The
+// tests build the full struct, then cut hdr.payload_size to two VPNs. The
+// bytes past payload_size are unspecified; here the first uncarried slot
+// still names a third page, so an over-read would move that page too.
+
+constexpr std::array<std::uint32_t, 3> kOverCounts{
+    3u, 600u, std::numeric_limits<std::uint32_t>::max()};
+
+template <typename Req>
+msg::MessagePtr two_vpn_message(msg::MsgType type, const Req& req) {
+    auto m = msg::make_message(type, msg::MsgKind::kRequest, req);
+    m->hdr.payload_size =
+        static_cast<std::uint32_t>(offsetof(Req, vpn) + 2 * sizeof(std::uint64_t));
+    return m;
+}
+
+TEST(WorksetMigration, SurrenderClipsWireSuppliedCount) {
+    constexpr int kPages = 4;
+    constexpr topo::KernelId kOwner = 1;
+    for (const std::uint32_t count : kOverCounts) {
+        Machine machine(smp::popcorn_config(6, 3));
+        auto& process = machine.create_process(0);
+        const Pid pid = process.pid();
+        Vaddr buf = 0;
+        bool written = false, injected = false;
+        std::uint32_t shipped = 0;
+        std::array<bool, kPages> kept{};
+        process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize, 1);
+                }
+                written = true;
+                while (!injected) g.compute(1_us);
+                // The out-of-band surrender left the directory naming k1 as
+                // the owner of pages it shipped away; the munmap erases
+                // those entries before the quiesce audit.
+                g.munmap(buf, kPages * kPageSize);
+            },
+            kOwner);
+        sim::Actor injector(machine.engine(), "injector", [&](sim::Actor& self) {
+            while (!written) self.sleep_for(1_us);
+            core::PageSurrenderReq req{};
+            req.pid = pid;
+            req.requester = 2; // no site there: the pushes are dropped
+            req.count = count;
+            req.mode.fill(core::SurrenderMode::kOwnership);
+            req.vpn[0] = mem::vpn_of(buf + kPageSize);
+            req.vpn[1] = mem::vpn_of(buf + 2 * kPageSize);
+            req.vpn[2] = mem::vpn_of(buf); // not carried
+            const auto reply = machine.kernel(0).node().rpc(
+                kOwner, two_vpn_message(msg::MsgType::kPageSurrender, req));
+            shipped = reply->payload_as<core::PageSurrenderResp>().shipped;
+            for (int p = 0; p < kPages; ++p) {
+                kept[static_cast<std::size_t>(p)] =
+                    pte_at(machine, kOwner, pid, buf + static_cast<Vaddr>(p) * kPageSize) !=
+                    nullptr;
+            }
+            injected = true;
+        });
+        injector.start();
+        machine.run();
+        process.check_all_joined();
+        EXPECT_EQ(shipped, 0b11u) << "count " << count;
+        for (int p = 0; p < kPages; ++p) {
+            EXPECT_EQ(kept[static_cast<std::size_t>(p)], p != 1 && p != 2)
+                << "count " << count << ", page " << p;
+        }
+    }
+}
+
+TEST(WorksetMigration, PullClipsWireSuppliedCount) {
+    constexpr int kPages = 32;
+    constexpr topo::KernelId kOwner = 1;
+    constexpr topo::KernelId kDest = 2;
+    for (const std::uint32_t count : kOverCounts) {
+        Machine machine(smp::popcorn_config(8, 4));
+        auto& process = machine.create_process(0);
+        const Pid pid = process.pid();
+        Vaddr buf = 0;
+        bool written = false, dest_ready = false, injected = false;
+        std::uint32_t granted = 0;
+        // Two carried pages and the uncarried one, all homed at one kernel
+        // other than the destination (with one shard: k0).
+        std::vector<Vaddr> pick;
+        process.spawn(
+            [&](Guest& g) {
+                buf = g.mmap(kPages * kPageSize);
+                for (int p = 0; p < kPages; ++p) {
+                    g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize, 1);
+                }
+                written = true;
+                while (!injected) g.compute(1_us);
+            },
+            kOwner);
+        // The destination needs the VMA to install the pushes into: one
+        // read of the last page (never picked) fetches it.
+        process.spawn(
+            [&](Guest& g) {
+                while (!written) g.compute(1_us);
+                (void)g.read<std::uint64_t>(buf + (kPages - 1) * kPageSize);
+                dest_ready = true;
+                while (!injected) g.compute(1_us);
+            },
+            kDest);
+        sim::Actor injector(machine.engine(), "injector", [&](sim::Actor& self) {
+            while (!dest_ready) self.sleep_for(1_us);
+            topo::KernelId home = -1;
+            for (topo::KernelId h = 0; h < 4 && home < 0; ++h) {
+                if (h == kDest) continue;
+                pick.clear();
+                for (int p = 0; p < kPages - 1; ++p) {
+                    const Vaddr va = buf + static_cast<Vaddr>(p) * kPageSize;
+                    if (home_of(machine, pid, va) == h) pick.push_back(va);
+                }
+                if (pick.size() >= 3) home = h;
+            }
+            if (home >= 0) {
+                core::WorksetPullReq req{};
+                req.pid = pid;
+                req.requester = kDest;
+                req.count = count;
+                for (std::size_t i = 0; i < 3; ++i) req.vpn[i] = mem::vpn_of(pick[i]);
+                const auto reply = machine.kernel(kDest).node().rpc(
+                    home, two_vpn_message(msg::MsgType::kWorksetPull, req));
+                granted = reply->payload_as<core::WorksetPullResp>().granted;
+            }
+            injected = true;
+        });
+        injector.start();
+        machine.run();
+        process.check_all_joined();
+        ASSERT_GE(pick.size(), 3u) << "no home holds three of the pages";
+        EXPECT_EQ(granted, 2u) << "count " << count;
+        for (std::size_t i = 0; i < 3; ++i) {
+            const bool carried = i < 2;
+            EXPECT_EQ(pte_at(machine, kDest, pid, pick[i]) != nullptr, carried)
+                << "count " << count << ", pick " << i;
+            EXPECT_EQ(pte_at(machine, kOwner, pid, pick[i]) != nullptr, !carried)
+                << "count " << count << ", pick " << i;
+            EXPECT_EQ(dir_entry(machine, pid, pick[i]).owner, carried ? kDest : kOwner)
+                << "count " << count << ", pick " << i;
+        }
+        expect_frames_balanced(machine, pid, 0);
     }
 }
 

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -279,6 +280,72 @@ TEST(RangedRevoke, HolderClipsWireSuppliedCount) {
             EXPECT_EQ(present[static_cast<std::size_t>(p)], p != 1 && p != 2)
                 << "count " << count << ", page " << p;
         }
+    }
+}
+
+// Ranged ops collect a shard's in-range directory entries by probing the
+// range's vpns when the range spans at most entries × kDirShards vpns
+// (O(range)), and by scanning the shard otherwise. Either way a munmap must
+// revoke exactly the touched pages inside its range. 4096 pages with every
+// third one written give ~1365 entries, ~85 per shard, so the cutoff sits
+// near 1365 pages: the 37-page cut probes, the 2000-page cut scans.
+TEST(RangedRevoke, ProbeAndScanRevokeTheSameVpns) {
+    constexpr int kPages = 4096;
+    constexpr int kStride = 3;
+    struct Cut {
+        int first;
+        int pages;
+    };
+    constexpr std::array<Cut, 2> kCuts{{{101, 37}, {1500, 2000}}};
+    Machine machine(smp::popcorn_config(4, 2));
+    auto& process = machine.create_process(0);
+    const Pid pid = process.pid();
+    Vaddr buf = 0;
+    auto vpn_of_page = [&](int p) { return mem::vpn_of(buf + static_cast<Vaddr>(p) * kPageSize); };
+    // Every vpn with a directory entry, at whichever kernel homes it.
+    auto directory_vpns = [&] {
+        std::set<std::uint64_t> vpns;
+        for (topo::KernelId k = 0; k < machine.config().nkernels; ++k) {
+            if (!machine.kernel(k).has_site(pid)) continue;
+            for (auto& shard : machine.kernel(k).site(pid).dir_shards()) {
+                for (const auto& [vpn, entry] : shard.entries) vpns.insert(vpn);
+            }
+        }
+        return vpns;
+    };
+    std::vector<std::set<std::uint64_t>> after_cut;
+    process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPages * kPageSize);
+            for (int p = 0; p < kPages; p += kStride) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       static_cast<std::uint64_t>(p));
+            }
+            for (const Cut& cut : kCuts) {
+                ASSERT_EQ(g.munmap(buf + static_cast<Vaddr>(cut.first) * kPageSize,
+                                   static_cast<std::size_t>(cut.pages) * kPageSize),
+                          0);
+                after_cut.push_back(directory_vpns());
+            }
+        },
+        1);
+    machine.run();
+    process.check_all_joined();
+    ASSERT_EQ(after_cut.size(), kCuts.size());
+    std::set<std::uint64_t> expected;
+    for (int p = 0; p < kPages; p += kStride) expected.insert(vpn_of_page(p));
+    for (std::size_t i = 0; i < kCuts.size(); ++i) {
+        for (int p = kCuts[i].first; p < kCuts[i].first + kCuts[i].pages; ++p) {
+            expected.erase(vpn_of_page(p));
+        }
+        EXPECT_EQ(after_cut[i], expected) << "cut " << i;
+    }
+    // The writer's kernel keeps exactly the surviving pages mapped.
+    auto& pt = machine.kernel(1).site(pid).space().page_table();
+    for (int p = 0; p < kPages; ++p) {
+        const mem::Pte* pte = pt.find(buf + static_cast<Vaddr>(p) * kPageSize);
+        EXPECT_EQ(pte != nullptr && pte->present, expected.contains(vpn_of_page(p)))
+            << "page " << p;
     }
 }
 

@@ -2,6 +2,7 @@
 // permit semantics, virtual-clock monotonicity, and simulated locks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,6 +93,132 @@ TEST(Engine, RunUntilStopsBeforeLaterEvents) {
     EXPECT_EQ(steps, 5); // ran at t=0,100,200,300,400
     engine.run();
     EXPECT_EQ(steps, 10);
+}
+
+// --- Inline sleeps (engine.hpp): a sleep nothing can observe stays on the
+// fiber, with the exact schedule of the queued path ---
+
+// Both actors sleep until t=10. b's wake ties with a's queued one, so b
+// must not advance inline: the earlier-queued a still runs first.
+TEST(Engine, InlineSleepKeepsEqualTimeTieOrder) {
+    Engine engine;
+    std::vector<std::string> order;
+    auto sleeper = [&](Actor& self) {
+        self.sleep_for(10);
+        order.push_back(self.name() + "@" + std::to_string(self.now()));
+    };
+    Actor a(engine, "a", sleeper);
+    Actor b(engine, "b", sleeper);
+    a.start();
+    b.start();
+    engine.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"a@10", "b@10"}));
+}
+
+TEST(Engine, InlineSleepNeverPassesRunUntilDeadline) {
+    Engine engine;
+    std::vector<Nanos> woke;
+    Actor a(engine, "a", [&](Actor& self) {
+        for (int i = 0; i < 10; ++i) {
+            self.sleep_for(100);
+            woke.push_back(self.now());
+        }
+    });
+    a.start();
+    EXPECT_EQ(engine.run_until(400), 400); // the deadline is inclusive
+    EXPECT_EQ(woke, (std::vector<Nanos>{100, 200, 300, 400}));
+    EXPECT_EQ(engine.run_until(450), 400);
+    EXPECT_EQ(woke.size(), 4u);
+    EXPECT_FALSE(engine.idle()); // the t=500 wake-up waits in the queue
+    EXPECT_EQ(engine.dispatch_count(), 5u); // the start plus four wakes
+    engine.run();
+    EXPECT_EQ(woke.size(), 10u);
+    EXPECT_EQ(engine.now(), 1000);
+    EXPECT_EQ(engine.dispatch_count(), 11u);
+}
+
+// step()/step_n() never advance inline: one call, one queued event, even
+// for a lone sleeper (BM_EngineSleepDispatch measures exactly this path).
+TEST(Engine, StepDispatchesOneEventForLoneSleeper) {
+    Engine engine;
+    int wakes = 0;
+    bool stop = false;
+    Actor a(engine, "sleeper", [&](Actor& self) {
+        while (!stop) {
+            self.sleep_for(10);
+            ++wakes;
+        }
+    });
+    a.start();
+    for (int i = 1; i <= 5; ++i) {
+        EXPECT_EQ(engine.step_n(1), 1);
+        EXPECT_EQ(engine.dispatch_count(), static_cast<std::uint64_t>(i));
+        EXPECT_EQ(engine.now(), 10 * (i - 1));
+        EXPECT_EQ(wakes, i - 1);
+    }
+    stop = true;
+    engine.run();
+    EXPECT_TRUE(a.finished());
+}
+
+struct MixTrace {
+    std::vector<std::string> log;
+    std::uint64_t dispatches = 0;
+    Nanos end = 0;
+};
+
+/// Sleeps with many equal-time ties, unparks with and without delay, and
+/// timed parks; logs every resume. `stepped` drives the engine one step()
+/// at a time, which never advances inline — the reference schedule.
+MixTrace run_mix(bool stepped, std::uint64_t shuffle_seed) {
+    Engine engine;
+    if (shuffle_seed != 0) engine.enable_tie_shuffle(shuffle_seed);
+    MixTrace trace;
+    auto note = [&trace](Actor& self, const std::string& what) {
+        trace.log.push_back(self.name() + what + "@" + std::to_string(self.now()));
+    };
+    std::vector<std::unique_ptr<Actor>> actors;
+    actors.push_back(std::make_unique<Actor>(engine, "p", [&](Actor& self) {
+        for (int j = 0; j < 10; ++j) note(self, self.park_for(7) ? "+" : "-");
+    }));
+    Actor& parker = *actors.back();
+    for (int i = 0; i < 5; ++i) {
+        actors.push_back(std::make_unique<Actor>(
+            engine, "s" + std::to_string(i), [&, i](Actor& self) {
+                for (int j = 0; j < 20; ++j) {
+                    self.sleep_for(1 + (i + j) % 4);
+                    note(self, "");
+                    if ((i + j) % 6 == 0) parker.unpark(i % 2);
+                }
+            }));
+    }
+    for (std::size_t i = 0; i < actors.size(); ++i) {
+        actors[i]->start(static_cast<Nanos>(i % 3));
+    }
+    if (stepped) {
+        while (engine.step_n(1) == 1) {
+        }
+    } else {
+        engine.run();
+    }
+    trace.dispatches = engine.dispatch_count();
+    trace.end = engine.now();
+    return trace;
+}
+
+// Inline advances consume the seq and the shuffle key a queued wake-up
+// would, and count as dispatches: run() reproduces the step()-driven
+// schedule exactly, with and without tie shuffling.
+TEST(Engine, InlineSleepMatchesQueuedSchedule) {
+    for (const std::uint64_t seed : {0ULL, 1ULL, 2ULL, 7ULL}) {
+        const MixTrace queued = run_mix(true, seed);
+        const MixTrace inlined = run_mix(false, seed);
+        EXPECT_EQ(inlined.log, queued.log) << "seed " << seed;
+        EXPECT_EQ(inlined.dispatches, queued.dispatches) << "seed " << seed;
+        EXPECT_EQ(inlined.end, queued.end) << "seed " << seed;
+    }
+    // Sanity: the shuffle really permutes ties in this mix.
+    EXPECT_NE(run_mix(false, 1).log, run_mix(false, 0).log);
 }
 
 TEST(Actor, ParkUnparkRoundTrip) {

@@ -3,6 +3,10 @@
 // consistency, and distributed futexes across kernels.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <vector>
 
 #include "rko/api/machine.hpp"
@@ -75,6 +79,85 @@ TEST(System, SpawnOnRemoteKernelRuns) {
     process.check_all_joined();
     EXPECT_EQ(observed, 1);
     EXPECT_EQ(machine.kernel(0).site(process.pid()).group().alive, 0);
+}
+
+/// Resident set size of this process in bytes, from /proc/self/statm.
+std::size_t resident_bytes() {
+    std::FILE* f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr) return 0;
+    unsigned long size = 0, resident = 0;
+    const int n = std::fscanf(f, "%lu %lu", &size, &resident);
+    std::fclose(f);
+    return n == 2 ? resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) : 0;
+}
+
+/// Host pages of the machine's guest RAM that are resident, from mincore.
+std::size_t resident_guest_ram_pages(Machine& machine) {
+    mem::PhysMem& phys = machine.phys();
+    const std::size_t bytes = phys.frames_per_kernel() * kPageSize;
+    const auto host_page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> in_core((bytes + host_page - 1) / host_page);
+    std::size_t resident = 0;
+    for (topo::KernelId k = 0; k < phys.nkernels(); ++k) {
+        std::byte* base = phys.frame_ptr(phys.frame_paddr(k, 0));
+        if (::mincore(base, bytes, in_core.data()) != 0) return phys.frames_per_kernel();
+        for (const unsigned char page : in_core) resident += page & 1u;
+    }
+    return resident;
+}
+
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+constexpr bool kThreadSanitizer = __has_feature(thread_sanitizer);
+#else
+constexpr bool kThreadSanitizer = false;
+#endif
+
+// Guest RAM is zero pages on first touch: the largest machine, kMaxKernels
+// kernels at the default 64 MiB each (4 GiB of guest RAM), boots, spawns
+// and serves a remote fault. Only the frames it allocated are resident,
+// and the whole process grows by a small fraction of 4 GiB; that bound
+// leaves room for ASan's shadow memory. Under TSan the per-fiber state of
+// this machine's actors alone grows the process by ~0.5 GiB (measured with
+// 16-frame partitions too), so only the guest-RAM check applies there.
+TEST(System, MaxKernelMachineCostsOnlyTouchedRam) {
+    const std::size_t before = resident_bytes();
+    ASSERT_GT(before, 0u);
+    MachineConfig config;
+    config.ncores = topo::kMaxKernels;
+    config.nkernels = topo::kMaxKernels;
+    Machine machine(config);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    int seen = 0;
+    auto& writer = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kPageSize);
+            g.write<int>(buf, 64);
+        },
+        0);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(writer);
+            seen = g.read<int>(buf);
+        },
+        topo::kMaxKernels - 1);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_EQ(seen, 64);
+    EXPECT_GT(machine.kernel(topo::kMaxKernels - 1).pages().remote_faults(), 0u);
+    std::uint64_t allocated = 0;
+    for (topo::KernelId k = 0; k < topo::kMaxKernels; ++k) {
+        allocated += machine.kernel(k).frames().alloc_count();
+    }
+    EXPECT_LE(resident_guest_ram_pages(machine), allocated);
+    const std::size_t after = resident_bytes();
+    const std::size_t grown = after > before ? after - before : 0;
+    RecordProperty("resident_growth_mib", static_cast<int>(grown >> 20));
+    if (!kThreadSanitizer) {
+        EXPECT_LT(grown, std::size_t{256} << 20) << "resident growth " << (grown >> 20) << " MiB";
+    }
 }
 
 TEST(System, SharedMemoryAcrossKernels) {

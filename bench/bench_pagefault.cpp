@@ -3,7 +3,8 @@
 // The cost of each page-ownership protocol action, the heart of the
 // paper's address-space consistency mechanism:
 //   (a) fault-type latencies: local demand-zero, remote read (replicate),
-//       remote write (invalidate + ownership move), write upgrade,
+//       remote write (invalidate + ownership move), remote read of a page
+//       a third kernel owns, write upgrade,
 //   (b) invalidation fan-out: write fault vs. number of sharing kernels,
 //   (c) false-sharing ping-pong: two kernels alternately writing one page,
 //   (d) protocol ablation: MSI-with-replication vs. migrate-on-any-fault
@@ -52,7 +53,8 @@ int main(int argc, char** argv) {
     {
         Machine machine(smp::popcorn_config(8, 4));
         auto& process = machine.create_process(0);
-        base::Summary zero_local, zero_remote, read_remote, write_steal, upgrade;
+        base::Summary zero_local, zero_remote, read_remote, write_steal, read_third,
+            upgrade;
         Vaddr region = 0;
         auto& origin_thread = process.spawn(
             [&](Guest& g) {
@@ -96,6 +98,9 @@ int main(int argc, char** argv) {
         process.check_all_joined();
 
         // (5) write-steal measured on a fresh machine: k1 owns, k2 writes.
+        // (6) then k3 reads what k2 now owns: neither the requester nor the
+        //     owner is the home (k0). Both faults take three legs — the
+        //     owner answers the requester (DESIGN.md §14).
         Machine machine2(smp::popcorn_config(8, 4));
         auto& p2 = machine2.create_process(0);
         Vaddr region2 = 0;
@@ -107,7 +112,7 @@ int main(int argc, char** argv) {
                 }
             },
             1);
-        p2.spawn(
+        auto& stealer = p2.spawn(
             [&](Guest& g) {
                 g.join(owner);
                 for (int i = 0; i < reps; ++i) {
@@ -117,6 +122,17 @@ int main(int argc, char** argv) {
                 }
             },
             2);
+        p2.spawn(
+            [&](Guest& g) {
+                g.join(stealer);
+                // Descending, like (3): single demand faults, no batches.
+                for (int i = reps - 1; i >= 0; --i) {
+                    const Vaddr page = region2 + static_cast<Vaddr>(i) * kPageSize;
+                    read_third.add(static_cast<double>(
+                        timed(g, [&] { (void)g.read<int>(page); })));
+                }
+            },
+            3);
         machine2.run();
         p2.check_all_joined();
 
@@ -131,9 +147,11 @@ int main(int argc, char** argv) {
         row("remote read, origin owns (replicate)", "read_remote_ns", read_remote);
         row("remote write, remote owner (steal via origin)", "write_steal_ns",
             write_steal);
+        row("remote read, third-kernel owner", "read_third_ns", read_third);
         row("write upgrade, was sharer (invalidate peers)", "upgrade_ns", upgrade);
         table.print();
         report.merge(machine.collect_metrics());
+        report.merge(machine2.collect_metrics());
     }
 
     bench::section("(b) write-fault latency vs invalidation fan-out");

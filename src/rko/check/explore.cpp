@@ -911,6 +911,78 @@ ScenarioResult run_surrender_kill(const ExploreConfig& cfg) {
     return res;
 }
 
+/// The demand-fault variant of surrender_kill: remote faults whose bytes
+/// sit at a third kernel take three legs (DESIGN.md §14), the holder
+/// answering the requester itself. k1 dirties 12 pages; k3 reads the last
+/// four (so a write to them has two victims and stays on the home path);
+/// then k2 reads the first six in ascending order (the stride detector
+/// turns the later ones into fault-around batches whose first page
+/// forwards) and writes a second word of the other six. The holder k1 or
+/// the requester k2 is killed at a seed-chosen time spanning those faults,
+/// and the survivors learn of it from their own leases. Every page must
+/// read back its writer's word or, when its only copy died, zero.
+ScenarioResult run_fault_forward_kill(const ExploreConfig& cfg) {
+    constexpr int kPages = 12;
+    Machine machine(elastic_storm_config(cfg));
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, 0);
+    process.spawn([](Guest& g) { g.compute(1_ms); }, 0);
+    const auto page_of = [&buf](int p) { return buf + static_cast<Vaddr>(p) * kPageSize; };
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(100_us);
+            for (int p = 0; p < kPages; ++p) {
+                g.write<std::uint32_t>(page_of(p), 0x100u + static_cast<std::uint32_t>(p));
+            }
+        },
+        1);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(200_us);
+            for (int p = kPages - 4; p < kPages; ++p) {
+                (void)g.read<std::uint32_t>(page_of(p));
+            }
+        },
+        3);
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(250_us);
+            for (int p = 0; p < kPages / 2; ++p) (void)g.read<std::uint32_t>(page_of(p));
+            for (int p = kPages / 2; p < kPages; ++p) {
+                g.write<std::uint32_t>(page_of(p) + 8, 1);
+            }
+        },
+        2);
+    bool torn = false;
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(1_ms); // past the kill and its lease expiry
+            for (int p = 0; p < kPages; ++p) {
+                const std::uint32_t v = g.read<std::uint32_t>(page_of(p));
+                torn = torn || (v != 0 && v != 0x100u + static_cast<std::uint32_t>(p));
+            }
+        },
+        0);
+    // Unperturbed, k2's faults run from ~270 us to ~390 us; the kill times
+    // span 265-391 us.
+    const topo::KernelId victim = cfg.seed % 2 == 0 ? 2 : 1;
+    const Nanos kill_at = 265_us + static_cast<Nanos>((cfg.seed / 2) % 64) * 2_us;
+    machine.run_until(kill_at);
+    machine.kill_kernel(victim);
+    machine.run();
+    ScenarioResult res = finish(machine);
+    if (torn) {
+        res.report.fail("forward.torn_page",
+                        "a page read back neither its writer's value nor zero");
+    }
+    return res;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep driver.
 // ---------------------------------------------------------------------------
@@ -1038,6 +1110,11 @@ const std::vector<Scenario>& scenarios() {
          "while its pages are in flight",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_surrender_kill},
+        {"fault_forward_kill",
+         "the holder or the requester of a three-leg demand fault is killed "
+         "while the holder's answer is in flight",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_fault_forward_kill},
     };
     return list;
 }

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,6 +82,28 @@ std::size_t carried_count(const msg::Message& m, std::uint32_t count, std::size_
     return std::min<std::size_t>({count, N, carried});
 }
 
+/// The home's request to one holder: kPageFetch (`flag` = downgrade) or
+/// kPageInvalidate (`flag` = want_data). With `to`, the holder answers the
+/// requester's fault itself (forward_fault); without, it answers the home
+/// and the request keeps its unforwarded wire size.
+template <typename Req>
+msg::MessagePtr holder_request(Pid pid, mem::Vaddr va, bool flag,
+                               const FaultReplyTo* to = nullptr) {
+    constexpr msg::MsgType type = std::is_same_v<Req, PageFetchReq>
+                                      ? msg::MsgType::kPageFetch
+                                      : msg::MsgType::kPageInvalidate;
+    const Req req{pid, va, flag, to != nullptr ? *to : FaultReplyTo{}};
+    return msg::make_message_prefix(type, msg::MsgKind::kRequest, req, wire_bytes(req));
+}
+
+/// The requester's last leg: tells `home` whether the install of `va`
+/// took, so the directory commits or rolls back and releases the busy bit.
+void confirm_install(msg::Node& node, topo::KernelId home, Pid pid, mem::Vaddr va,
+                     bool installed) {
+    node.send(home, msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
+                                      PageInstalledMsg{pid, va, node.id(), installed}));
+}
+
 /// Shared tail of commit_install/abandon_pending: applies `updated` (ok) or
 /// removes the requester from the holder set (!ok: it abandoned the install
 /// — racing munmap, or it died). Shard lock held.
@@ -104,6 +127,7 @@ PageOwner::PageOwner(kernel::Kernel& k)
       remote_faults_(k.metrics().counter("pages.remote_faults")),
       invalidations_(k.metrics().counter("pages.invalidations")),
       fetches_(k.metrics().counter("pages.fetches")),
+      forwarded_(k.metrics().counter("pages.forwarded")),
       prefetch_issued_(k.metrics().counter("pages.prefetch.issued")),
       prefetch_hit_(k.metrics().counter("pages.prefetch.hit")),
       prefetch_wasted_(k.metrics().counter("pages.prefetch.wasted")),
@@ -129,58 +153,29 @@ void PageOwner::await_home_rebuilds(ProcessSite& site) {
 }
 
 void PageOwner::install() {
-    k_.node().register_handler(
-        msg::MsgType::kPageFault, msg::HandlerClass::kBlocking,
-        [this](msg::Node& node, msg::MessagePtr m) { on_page_fault(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kPageFaultBatch, msg::HandlerClass::kBlocking,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_fault_batch(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kPageFetch, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_page_fetch(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kPageInvalidate, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_invalidate(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kPageInvalidateRange, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_invalidate_range(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kPageInstalled, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_installed(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kPagePush, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_page_push(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kHomeRangeOp, msg::HandlerClass::kBlocking,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_home_range_op(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kHomeRebuild, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_home_rebuild(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kWorksetPull, msg::HandlerClass::kBlocking,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_workset_pull(node, std::move(m));
-        });
-    k_.node().register_handler(
-        msg::MsgType::kWorksetPush, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) { on_page_push(node, std::move(m)); });
-    k_.node().register_handler(
-        msg::MsgType::kPageSurrender, msg::HandlerClass::kLeaf,
-        [this](msg::Node& node, msg::MessagePtr m) {
-            on_page_surrender(node, std::move(m));
-        });
+    using msg::HandlerClass;
+    using msg::MsgType;
+    const auto handle = [this](MsgType type, HandlerClass handler_class,
+                               void (PageOwner::*handler)(msg::Node&, msg::MessagePtr)) {
+        k_.node().register_handler(type, handler_class,
+                                   [this, handler](msg::Node& node, msg::MessagePtr m) {
+                                       (this->*handler)(node, std::move(m));
+                                   });
+    };
+    handle(MsgType::kPageFault, HandlerClass::kBlocking, &PageOwner::on_page_fault);
+    handle(MsgType::kPageFaultBatch, HandlerClass::kBlocking,
+           &PageOwner::on_page_fault_batch);
+    handle(MsgType::kPageFetch, HandlerClass::kLeaf, &PageOwner::on_page_fetch);
+    handle(MsgType::kPageInvalidate, HandlerClass::kLeaf, &PageOwner::on_page_invalidate);
+    handle(MsgType::kPageInvalidateRange, HandlerClass::kLeaf,
+           &PageOwner::on_page_invalidate_range);
+    handle(MsgType::kPageInstalled, HandlerClass::kLeaf, &PageOwner::on_page_installed);
+    handle(MsgType::kPagePush, HandlerClass::kLeaf, &PageOwner::on_page_push);
+    handle(MsgType::kHomeRangeOp, HandlerClass::kBlocking, &PageOwner::on_home_range_op);
+    handle(MsgType::kHomeRebuild, HandlerClass::kLeaf, &PageOwner::on_home_rebuild);
+    handle(MsgType::kWorksetPull, HandlerClass::kBlocking, &PageOwner::on_workset_pull);
+    handle(MsgType::kWorksetPush, HandlerClass::kLeaf, &PageOwner::on_page_push);
+    handle(MsgType::kPageSurrender, HandlerClass::kLeaf, &PageOwner::on_page_surrender);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +222,7 @@ bool PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_d
 FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                                           std::uint32_t access,
                                           topo::KernelId requester,
-                                          PageFaultResp& out) {
+                                          PageFaultResp& out, Forward* fwd) {
     // With sharded homes the transaction runs at the page's home kernel,
     // which is the origin only for the shards it happens to own.
     RKO_ASSERT(may_home(site));
@@ -354,6 +349,11 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         // with whichever kernel actually supplied the bytes.
         out.source = static_cast<std::uint8_t>(requester);
         PageDirEntry updated = snapshot;
+        // The one holder that answers the requester instead of us, if any.
+        // A home-local requester's bytes land here anyway.
+        topo::KernelId forward_to = -1;
+        SurrenderMode forward_mode = SurrenderMode::kOwnership;
+        if (requester == k_.id()) fwd = nullptr;
 
         if (!take_exclusive) {
             if (snapshot.holds(requester)) {
@@ -361,110 +361,68 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 // noticing an ownership change (racing install); tell it to
                 // refault if it cannot recover locally.
                 out.upgrade = true;
-            } else if (snapshot.state == PageDirEntry::State::kShared) {
-                // Copy from the most convenient live sharer. A sharer that
-                // died mid-transaction (elastic) returns a null reply; its
-                // copy died with it, so try the next one. With every sharer
-                // dead the data is lost and the requester zero-fills.
+            } else {
+                // Copy from the most convenient live holder: our own copy, else
+                // the remote holders in id order. An Exclusive owner is
+                // downgraded and the page goes Shared. A holder that died
+                // mid-transaction (elastic) returns a null reply; its copy
+                // died with it, so try the next one. With every holder dead
+                // the data is lost and the requester zero-fills.
+                const bool downgrade = snapshot.state == PageDirEntry::State::kExclusive;
                 bool have_data = false;
-                topo::KernelMask live = snapshot.sharers;
+                topo::KernelMask live = snapshot.holder_mask();
                 // Our own copy can be gone despite the directory listing us:
                 // a munmap's replica sweep drops PTEs without waiting on the
-                // busy bit. Fall through to the remote sharers if so.
-                if (snapshot.holds(k_.id()) &&
-                    local_fetch(site, page, false, out.data.data())) {
-                    out.source = static_cast<std::uint8_t>(k_.id());
-                    have_data = true;
-                } else {
-                    for (topo::KernelMask mask = snapshot.sharers; mask != 0;
-                         mask &= mask - 1) {
-                        const auto source =
-                            static_cast<topo::KernelId>(std::countr_zero(mask));
-                        if (source == k_.id()) {
-                            live &= ~topo::kbit(source); // local copy gone
-                            continue;
-                        }
-                        if (k_.node().peer_dead(source)) {
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        fetches_.inc();
-                        msg::RpcStatus st = msg::RpcStatus::kOk;
-                        auto reply = k_.node().rpc(
-                            source,
-                            msg::make_message(msg::MsgType::kPageFetch,
-                                              msg::MsgKind::kRequest,
-                                              PageFetchReq{site.pid(), page, false}),
-                            &st);
-                        if (reply == nullptr) {
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        if (!fetched.ok) {
-                            // The sharer dropped its copy between our
-                            // snapshot and the fetch (a munmap's replica
-                            // sweep is not gated on our busy bit) — same
-                            // transient the write path tolerates from
-                            // invalidate replies. Try the next sharer.
-                            live &= ~topo::kbit(source);
-                            continue;
-                        }
-                        out.data = fetched.data;
-                        out.source = static_cast<std::uint8_t>(source);
-                        have_data = true;
-                        break;
+                // busy bit. Fall through to the remote holders if so.
+                if (snapshot.holds(k_.id())) {
+                    have_data = local_fetch(site, page, downgrade, out.data.data());
+                    if (have_data) {
+                        out.source = static_cast<std::uint8_t>(k_.id());
+                    } else {
+                        live &= ~topo::kbit(k_.id());
                     }
                 }
-                if (have_data) {
+                for (topo::KernelMask mask = live & ~topo::kbit(k_.id());
+                     mask != 0 && !have_data; mask &= mask - 1) {
+                    const auto source = static_cast<topo::KernelId>(std::countr_zero(mask));
+                    if (k_.node().peer_dead(source)) {
+                        live &= ~topo::kbit(source);
+                        continue;
+                    }
+                    fetches_.inc();
+                    if (fwd != nullptr) {
+                        // Three legs: this holder sends the requester its copy
+                        // (forward_fault).
+                        forward_to = source;
+                        forward_mode = downgrade ? SurrenderMode::kDowngrade
+                                                 : SurrenderMode::kReplica;
+                        break;
+                    }
+                    msg::RpcStatus st = msg::RpcStatus::kOk;
+                    auto reply = k_.node().rpc(
+                        source, holder_request<PageFetchReq>(site.pid(), page, downgrade),
+                        &st);
+                    // ok=false: the holder dropped its copy between our
+                    // snapshot and the fetch (a munmap's replica sweep is not
+                    // gated on our busy bit) — the same transient the write
+                    // path tolerates from invalidate replies.
+                    if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
+                        live &= ~topo::kbit(source);
+                        continue;
+                    }
+                    out.data = reply->payload_prefix_as<PageFetchResp>().data;
+                    out.source = static_cast<std::uint8_t>(source);
+                    have_data = true;
+                }
+                updated.state = PageDirEntry::State::kShared;
+                updated.owner = -1;
+                if (have_data || forward_to >= 0) {
                     out.data_included = true;
                     updated.sharers = live | topo::kbit(requester);
                 } else {
                     out.zero_fill = true;
                     out.source = static_cast<std::uint8_t>(requester);
                     updated.sharers = topo::kbit(requester);
-                }
-            } else {
-                // Exclusive elsewhere: downgrade the owner, go Shared. A
-                // dead owner took the only copy with it — zero-fill.
-                bool have_data = false;
-                if (snapshot.owner == k_.id()) {
-                    // Our exclusive copy can be gone despite the directory:
-                    // munmap's replica sweep is not gated on the busy bit.
-                    // Zero-fill like a dead owner if so.
-                    have_data = local_fetch(site, page, true, out.data.data());
-                } else if (!k_.node().peer_dead(snapshot.owner)) {
-                    fetches_.inc();
-                    msg::RpcStatus st = msg::RpcStatus::kOk;
-                    auto reply = k_.node().rpc(
-                        snapshot.owner,
-                        msg::make_message(msg::MsgType::kPageFetch, msg::MsgKind::kRequest,
-                                          PageFetchReq{site.pid(), page, true}),
-                        &st);
-                    if (reply != nullptr) {
-                        const auto& fetched = reply->payload_prefix_as<PageFetchResp>();
-                        // ok=false: the owner dropped the page between our
-                        // snapshot and the fetch (munmap replica sweep) —
-                        // transient, fall through to zero-fill like a dead
-                        // owner.
-                        if (fetched.ok) {
-                            out.data = fetched.data;
-                            have_data = true;
-                        }
-                    }
-                }
-                if (have_data) {
-                    out.data_included = true;
-                    out.source = static_cast<std::uint8_t>(snapshot.owner);
-                    updated.state = PageDirEntry::State::kShared;
-                    updated.sharers = topo::kbit(snapshot.owner) | topo::kbit(requester);
-                    updated.owner = -1;
-                } else {
-                    out.zero_fill = true;
-                    out.source = static_cast<std::uint8_t>(requester);
-                    updated.state = PageDirEntry::State::kShared;
-                    updated.sharers = topo::kbit(requester);
-                    updated.owner = -1;
                 }
             }
         } else {
@@ -511,17 +469,23 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 (need_data && !have_data && victims != 0)
                     ? static_cast<topo::KernelId>(std::countr_zero(victims))
                     : -1;
+            if (fwd != nullptr && data_source >= 0 && std::has_single_bit(victims)) {
+                // Three legs: the only remote victim revokes its copy and
+                // sends the requester the bytes (forward_fault).
+                invalidations_.inc();
+                forward_to = data_source;
+                forward_mode = SurrenderMode::kOwnership;
+                out.source = static_cast<std::uint8_t>(data_source);
+                have_data = true;
+                victims = 0;
+            }
             std::vector<msg::Node::ScatterItem> posts;
             std::vector<topo::KernelId> post_holder;
             for (topo::KernelMask mask = victims; mask != 0; mask &= mask - 1) {
                 const auto holder = static_cast<topo::KernelId>(std::countr_zero(mask));
                 invalidations_.inc();
-                posts.push_back(
-                    {holder,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page,
-                                                         holder == data_source})});
+                posts.push_back({holder, holder_request<PageInvalidateReq>(
+                                             site.pid(), page, holder == data_source)});
                 post_holder.push_back(holder);
             }
             if (!posts.empty()) {
@@ -553,13 +517,19 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         }
 
         // --- Park the post-transaction state; busy stays set until the
-        // requester's install commits (commit_install).
+        // requester's install commits (commit_install). A forwarded page's
+        // pending is flagged `surrendering`: the requester's confirm can
+        // overtake the holder's ack.
         shard.lock.lock();
         RKO_ASSERT_MSG(shard.entries.contains(vpn),
                        "directory entry vanished while busy (revoke must queue)");
         updated.busy = false;
         shard.pending[vpn] = updated;
         shard.pending_from[vpn] = requester;
+        if (forward_to >= 0) {
+            *fwd = Forward{forward_to, forward_mode, ++next_surrender_token_};
+            shard.surrendering[vpn] = fwd->token;
+        }
         shard.shadow.on_write();
         shard.lock.unlock();
         out.status = FaultStatus::kOk;
@@ -567,6 +537,62 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
     }
     out.status = FaultStatus::kRetry;
     return out.status;
+}
+
+bool PageOwner::forward_fault(ProcessSite& site, mem::Vaddr page,
+                              topo::KernelId requester, const Forward& fwd,
+                              const FaultReplyTo& to, PageFaultResp& out) {
+    msg::RpcStatus st = msg::RpcStatus::kOk;
+    const msg::MessagePtr ack = k_.node().rpc(
+        fwd.holder,
+        fwd.mode == SurrenderMode::kOwnership
+            ? holder_request<PageInvalidateReq>(site.pid(), page, true, &to)
+            : holder_request<PageFetchReq>(site.pid(), page,
+                                           fwd.mode == SurrenderMode::kDowngrade, &to),
+        &st);
+    const bool shipped = ack != nullptr && ack->payload_as<PageForwardAck>().shipped;
+    // A flag the requester's confirm already cleared means the holder
+    // answered it, whatever its ack says: a holder that died after its
+    // reply is declared dead a probe timeout after it at the earliest,
+    // long after the confirm (DESIGN.md §14).
+    if (!resolve_surrender(site, mem::vpn_of(page), fwd.token, shipped,
+                           ack == nullptr ? fwd.holder : -1, requester) ||
+        shipped) {
+        return true;
+    }
+    // Nothing shipped and the entry is back to its snapshot: the requester
+    // refaults, and a dead holder is no longer in its way.
+    out = PageFaultResp{};
+    out.status = FaultStatus::kRetry;
+    return false;
+}
+
+bool PageOwner::resolve_surrender(ProcessSite& site, std::uint64_t vpn, std::uint64_t token,
+                                  bool shipped, topo::KernelId lost,
+                                  topo::KernelId requester) {
+    auto& shard = site.dir_shard(vpn);
+    shard.lock.lock();
+    const auto flag = shard.surrendering.find(vpn);
+    if (flag == shard.surrendering.end() || flag->second != token) {
+        shard.lock.unlock();
+        return false;
+    }
+    shard.surrendering.erase(flag);
+    if (!shipped) {
+        shard.pending.erase(vpn);
+        shard.pending_from.erase(vpn);
+        auto it = shard.entries.find(vpn);
+        RKO_ASSERT(it != shard.entries.end() && it->second.busy);
+        it->second.busy = false;
+        if (lost >= 0 && !drop_holder(it->second, lost)) shard.entries.erase(it);
+        shard.busy_wait.notify_all();
+    }
+    shard.shadow.on_write();
+    shard.lock.unlock();
+    if (shipped && k_.node().peer_dead(requester)) {
+        abandon_pending(site, static_cast<mem::Vaddr>(vpn) << mem::kPageShift, requester);
+    }
+    return true;
 }
 
 void PageOwner::commit_install(ProcessSite& site, mem::Vaddr page,
@@ -767,11 +793,7 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     if (fault_resp.status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
     const bool installed = install_locally(site, vma, page, access, fault_resp);
     if (installed) attribute(fault_resp);
-    // Third leg: let the directory commit (or roll back) and release busy.
-    k_.node().send(home,
-                   msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
-                                     PageInstalledMsg{site.pid(), page, k_.id(),
-                                                      installed}));
+    confirm_install(k_.node(), home, site.pid(), page, installed);
     return mem::Mmu::FaultResult::kFixed;
 }
 
@@ -809,11 +831,7 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
             if (resp.status == FaultStatus::kRetry) continue;
             const bool installed =
                 install_locally(site, vma, page, mem::kProtRead, resp);
-            k_.node().send(home, msg::make_message(
-                                     msg::MsgType::kPageInstalled,
-                                     msg::MsgKind::kOneway,
-                                     PageInstalledMsg{site.pid(), page, k_.id(),
-                                                      installed}));
+            confirm_install(k_.node(), home, site.pid(), page, installed);
             continue; // loop re-checks the PTE
         }
         PageFaultResp resp{};
@@ -922,6 +940,30 @@ void append_ranged_posts(
                                           msg::MsgKind::kRequest, req,
                                           wire_bytes(req))});
             i += n;
+        }
+    }
+}
+
+/// Sends a ranged pull's byte-source invalidates (`posts`, post i for
+/// pages[post_page[i]]) and the ranged `drops` in ONE scatter; each source's
+/// bytes land in its page's `data`. A source that died leaves its page
+/// without data.
+template <typename Page>
+void scatter_pulls(msg::Node& node, Pid pid, std::vector<msg::Node::ScatterItem> posts,
+                   std::array<std::vector<std::uint64_t>, topo::kMaxKernels>& drops,
+                   std::vector<Page>& pages, const std::vector<std::size_t>& post_page,
+                   trace::Counter& range_rpcs) {
+    const std::size_t nsources = posts.size();
+    append_ranged_posts(pid, drops, InvalidateRangeOp::kDrop, &posts);
+    range_rpcs.inc(posts.size() - nsources);
+    if (posts.empty()) return;
+    const auto replies = node.rpc_scatter(std::move(posts));
+    for (std::size_t i = 0; i < nsources; ++i) {
+        if (replies[i] == nullptr) continue;
+        const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
+        if (inv.had_page && inv.data_included) {
+            pages[post_page[i]].data = inv.data;
+            pages[post_page[i]].have_data = true;
         }
     }
 }
@@ -1102,10 +1144,7 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
                 p.source_post = static_cast<int>(posts.size());
                 post_page.push_back(pages.size());
                 posts.push_back(
-                    {source,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page, true})});
+                    {source, holder_request<PageInvalidateReq>(site.pid(), page, true)});
             }
             for (topo::KernelMask mask = rest; mask != 0; mask &= mask - 1) {
                 const auto holder =
@@ -1119,21 +1158,8 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
 
     // Phase 2: one scatter for the whole range — byte-source invalidates
     // and ranged drops fly together.
-    const std::size_t nsources = posts.size();
-    append_ranged_posts(site.pid(), drop_by_holder, InvalidateRangeOp::kDrop, &posts);
-    range_rpcs_.inc(posts.size() - nsources);
-    if (!posts.empty()) {
-        auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t i = 0; i < nsources; ++i) {
-            if (replies[i] == nullptr) continue; // source died mid-scatter
-            const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
-            SeqPage& p = pages[post_page[i]];
-            if (inv.had_page && inv.data_included) {
-                p.data = inv.data;
-                p.have_data = true;
-            }
-        }
-    }
+    scatter_pulls(k_.node(), site.pid(), std::move(posts), drop_by_holder, pages, post_page,
+                  range_rpcs_);
 
     // Phase 3: batched local application. All PROT_NONE protects share one
     // generation bump and one modeled shootdown; the fetched pages land in
@@ -1499,10 +1525,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
             if (p.sole) {
                 post_page.push_back(pages.size());
                 posts.push_back(
-                    {holder,
-                     msg::make_message(msg::MsgType::kPageInvalidate,
-                                       msg::MsgKind::kRequest,
-                                       PageInvalidateReq{site.pid(), page, true})});
+                    {holder, holder_request<PageInvalidateReq>(site.pid(), page, true)});
             } else {
                 drop_by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
             }
@@ -1511,21 +1534,8 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
     }
 
     // Phase 2: one scatter for everything.
-    const std::size_t nsources = posts.size();
-    append_ranged_posts(site.pid(), drop_by_holder, InvalidateRangeOp::kDrop, &posts);
-    range_rpcs_.inc(posts.size() - nsources);
-    if (!posts.empty()) {
-        auto replies = k_.node().rpc_scatter(std::move(posts));
-        for (std::size_t i = 0; i < nsources; ++i) {
-            if (replies[i] == nullptr) continue; // holder died mid-drain
-            const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
-            EvictPage& p = pages[post_page[i]];
-            if (inv.had_page && inv.data_included) {
-                p.data = inv.data;
-                p.have_data = true;
-            }
-        }
-    }
+    scatter_pulls(k_.node(), site.pid(), std::move(posts), drop_by_holder, pages, post_page,
+                  range_rpcs_);
 
     // Sharded homes: we may be a non-origin home whose VMA replica has not
     // fetched these mappings yet — fill the replica first (RPC, so outside
@@ -1729,7 +1739,8 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
                                     topo::KernelId requester, topo::KernelId home,
                                     bool workset,
                                     const std::function<void(std::size_t)>& before_send,
-                                    std::vector<mem::Paddr>* freed) {
+                                    std::vector<mem::Paddr>* freed,
+                                    const FaultReplyTo* reply) {
     // A requester already dead gets nothing: every copy stays here.
     if (batch.empty() || k_.node().peer_dead(requester)) return 0;
     std::vector<PagePushMsg> pushes(batch.size());
@@ -1749,14 +1760,31 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
         }
         if (before_send) before_send(i);
         PagePushMsg& push = pushes[i];
-        push.pid = site.pid();
-        push.va = c.page;
-        push.home = static_cast<std::uint8_t>(home);
-        push.exclusive = c.mode == SurrenderMode::kOwnership;
-        push.source = static_cast<std::uint8_t>(k_.id());
-        k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
-                                                           push, wire_bytes(push)));
-        if (push.exclusive) freed->push_back(c.revoked.paddr);
+        if (reply != nullptr) {
+            // A forwarded demand fault: the page is the answer to the
+            // requester's fault RPC, in the shape it asked with.
+            const PageFaultBatchResp resp{
+                reply->extra_granted,
+                {FaultStatus::kOk, /*data_included=*/true, /*zero_fill=*/false,
+                 /*upgrade=*/false, static_cast<std::uint8_t>(k_.id()), push.data}};
+            k_.node().reply_to(
+                requester, reply->ticket,
+                reply->batch != 0
+                    ? msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
+                                               msg::MsgKind::kReply, resp, wire_bytes(resp))
+                    : msg::make_message_prefix(msg::MsgType::kPageFault,
+                                               msg::MsgKind::kReply, resp.first,
+                                               wire_bytes(resp.first)));
+        } else {
+            push.pid = site.pid();
+            push.va = c.page;
+            push.home = static_cast<std::uint8_t>(home);
+            push.exclusive = c.mode == SurrenderMode::kOwnership;
+            push.source = static_cast<std::uint8_t>(k_.id());
+            k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
+                                                               push, wire_bytes(push)));
+        }
+        if (c.mode == SurrenderMode::kOwnership) freed->push_back(c.revoked.paddr);
         shipped |= 1u << i;
     }
     if (kept.empty()) return shipped;
@@ -1825,6 +1853,7 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
             vma_prot[i] = vma == nullptr ? 0 : vma->prot;
         }
     }
+    const std::uint64_t token = ++next_surrender_token_;
     for (std::size_t i = 0; i < pages.size(); ++i) {
         PushPage& p = work[i];
         p.vpn = mem::vpn_of(pages[i]);
@@ -1856,7 +1885,7 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
         if (p.source != k_.id()) {
             shard.pending[p.vpn] = p.updated;
             shard.pending_from[p.vpn] = requester;
-            shard.surrendering.insert(p.vpn);
+            shard.surrendering[p.vpn] = token;
             shard.shadow.on_write();
         }
         shard.lock.unlock();
@@ -1940,35 +1969,6 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
     }
     const auto replies = k_.node().rpc_scatter(std::move(posts));
 
-    // Each answered page drops its `surrendering` flag — unless the
-    // requester's confirm already committed it. A shipped page then waits
-    // for its confirm like any other; if the requester was declared dead
-    // meanwhile, its reap skipped the flagged pending, so it is abandoned
-    // here. An unshipped page returns to its snapshot, minus `lost`, an
-    // owner that died before answering.
-    const auto finish = [&](std::uint64_t vpn, bool shipped, topo::KernelId lost) {
-        auto& shard = site.dir_shard(vpn);
-        shard.lock.lock();
-        if (shard.surrendering.erase(vpn) == 0) {
-            shard.lock.unlock();
-            return;
-        }
-        if (!shipped) {
-            shard.pending.erase(vpn);
-            shard.pending_from.erase(vpn);
-            auto it = shard.entries.find(vpn);
-            RKO_ASSERT(it != shard.entries.end() && it->second.busy);
-            it->second.busy = false;
-            if (lost >= 0 && !drop_holder(it->second, lost)) shard.entries.erase(it);
-            shard.busy_wait.notify_all();
-        }
-        shard.shadow.on_write();
-        shard.lock.unlock();
-        if (shipped && k_.node().peer_dead(requester)) {
-            abandon_pending(site, static_cast<mem::Vaddr>(vpn) << mem::kPageShift,
-                            requester);
-        }
-    };
     for (std::size_t r = 0; r < reqs.size(); ++r) {
         for (std::size_t k = 0; k < req_page[r].size(); ++k) {
             const std::uint64_t vpn = work[req_page[r][k]].vpn;
@@ -1976,17 +1976,18 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
                 // The owner was declared dead before it answered, a lease
                 // after its last message: whatever it pushed has long been
                 // confirmed, and an unconfirmed page died with its copy.
-                finish(vpn, /*shipped=*/false, req_source[r]);
+                resolve_surrender(site, vpn, token, /*shipped=*/false, req_source[r],
+                                  requester);
             } else if ((replies[r]->payload_as<PageSurrenderResp>().shipped &
                         (1u << k)) != 0) {
                 issued.inc();
                 ++pushed;
-                finish(vpn, /*shipped=*/true, -1);
+                resolve_surrender(site, vpn, token, /*shipped=*/true, -1, requester);
             } else {
                 // Not shipped: the owner lost its copy to a racing munmap
                 // sweep or saw the requester dead and kept it. Either way
                 // the snapshot stands.
-                finish(vpn, /*shipped=*/false, -1);
+                resolve_surrender(site, vpn, token, /*shipped=*/false, -1, requester);
             }
         }
     }
@@ -2063,7 +2064,14 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
         resp.status = FaultStatus::kRetry;
     } else {
         ProcessSite& site = k_.site(req.pid);
-        origin_transaction(site, req.va, req.access, req.requester, resp);
+        Forward fwd;
+        origin_transaction(site, req.va, req.access, req.requester, resp, &fwd);
+        if (fwd.holder >= 0 &&
+            forward_fault(site, req.va, req.requester, fwd,
+                          {m->hdr.ticket, 0, static_cast<std::uint8_t>(req.requester), 0},
+                          resp)) {
+            return; // the holder answered the requester
+        }
         if (resp.status == FaultStatus::kOk && k_.node().peer_dead(req.requester)) {
             // The requester died while we worked: its kPageInstalled will
             // never arrive — roll the parked install back now (idempotent
@@ -2083,6 +2091,7 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     PageFaultBatchResp resp{};
     ProcessSite* site = nullptr;
     std::vector<mem::Vaddr> grants;
+    Forward fwd;
     const bool boosted = req.workset != 0;
     if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
         resp.first.status = FaultStatus::kSegv;
@@ -2090,9 +2099,10 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
         resp.first.status = FaultStatus::kRetry;
     } else {
         site = &k_.site(req.pid);
-        origin_transaction(*site, req.va, req.access, req.requester, resp.first);
+        origin_transaction(*site, req.va, req.access, req.requester, resp.first, &fwd);
         if (resp.first.status == FaultStatus::kOk) {
             if (k_.node().peer_dead(req.requester)) {
+                // A forwarded pending is resolved by forward_fault below.
                 abandon_pending(*site, req.va, req.requester);
             } else {
                 // The window's tail [va+1, va+window): the requester clipped
@@ -2118,9 +2128,19 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     if (boosted && !grants.empty()) {
         push_pages(*site, grants, req.requester, /*owned=*/true, &freed);
     }
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
+    // A forwarded first page's holder replies in our stead, after our
+    // pushes when boosted; when streaming, ours wait for its ack.
+    const bool answered =
+        fwd.holder >= 0 &&
+        forward_fault(*site, req.va, req.requester, fwd,
+                      FaultReplyTo{m->hdr.ticket, resp.extra_granted,
+                                   static_cast<std::uint8_t>(req.requester), 1},
+                      resp.first);
+    if (!answered) {
+        node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFaultBatch,
+                                                msg::MsgKind::kReply, resp,
+                                                wire_bytes(resp)));
+    }
     // Streaming fault-around: reply first, so the requester installs the
     // demand page while the window's replicas are captured behind it.
     if (!boosted && !grants.empty()) {
@@ -2133,7 +2153,13 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
 }
 
 void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<PageFetchReq>();
+    const auto& req = m->payload_prefix_as<PageFetchReq>();
+    if (m->hdr.payload_size == sizeof(PageFetchReq)) {
+        const SurrenderMode mode =
+            req.downgrade ? SurrenderMode::kDowngrade : SurrenderMode::kReplica;
+        answer_forwarded(node, *m, req.pid, req.va, mode, req.reply_to);
+        return;
+    }
     PageFetchResp resp{};
     resp.ok = k_.has_site(req.pid) &&
               local_fetch(k_.site(req.pid), req.va, req.downgrade, resp.data.data());
@@ -2163,7 +2189,12 @@ void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {
 }
 
 void PageOwner::on_page_invalidate(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_as<PageInvalidateReq>();
+    const auto& req = m->payload_prefix_as<PageInvalidateReq>();
+    if (m->hdr.payload_size == sizeof(PageInvalidateReq)) {
+        answer_forwarded(node, *m, req.pid, req.va, SurrenderMode::kOwnership,
+                         req.reply_to);
+        return;
+    }
     PageInvalidateResp resp{};
     resp.data_included = false;
     resp.had_page =
@@ -2173,6 +2204,25 @@ void PageOwner::on_page_invalidate(msg::Node& node, msg::MessagePtr m) {
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageInvalidate,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
+}
+
+void PageOwner::answer_forwarded(msg::Node& node, const msg::Message& m, Pid pid,
+                                 mem::Vaddr va, SurrenderMode mode,
+                                 const FaultReplyTo& to) {
+    PageForwardAck ack{false};
+    std::vector<mem::Paddr> freed;
+    if (k_.has_site(pid)) {
+        // The one-page case of on_page_surrender: the same capture, and a
+        // requester seen dead is sent nothing (a revoked copy is restored).
+        Capture c{va, mode};
+        ack.shipped = ship_pages(k_.site(pid), {&c, 1}, to.requester, m.hdr.src,
+                                 /*workset=*/false, nullptr, &freed, &to) != 0;
+    }
+    if (ack.shipped) forwarded_.inc();
+    node.reply(m, msg::make_message(m.hdr.type, msg::MsgKind::kReply, ack));
+    // A revoked frame goes back to the allocator after the ack (see
+    // on_page_fault_batch).
+    for (const mem::Paddr frame : freed) k_.frames().free(frame);
 }
 
 void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
@@ -2231,10 +2281,7 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
     // ALWAYS confirm — success or not — or the home's busy bit leaks and
     // every later fault on the page hangs. The confirm goes to the page's
     // home, which is not the sender when a remote owner forwarded the page.
-    k_.node().send(push.home,
-                   msg::make_message(msg::MsgType::kPageInstalled, msg::MsgKind::kOneway,
-                                     PageInstalledMsg{push.pid, push.va, k_.id(),
-                                                      installed}));
+    confirm_install(k_.node(), push.home, push.pid, push.va, installed);
     // Same install either way; the wire type only picks whose accuracy
     // counters it feeds.
     const bool workset = m->hdr.type == msg::MsgType::kWorksetPush;

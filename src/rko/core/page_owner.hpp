@@ -158,6 +158,9 @@ public:
     std::uint64_t remote_faults() const { return remote_faults_.value; }
     std::uint64_t invalidations() const { return invalidations_.value; }
     std::uint64_t fetches() const { return fetches_.value; }
+    /// Remote faults this (holder) kernel answered for their home: the
+    /// three-leg faults, whose bytes crossed the fabric once.
+    std::uint64_t forwarded() const { return forwarded_.value; }
     /// Pages pushed by this (home) kernel's streaming fault-around windows.
     std::uint64_t prefetch_issued() const { return prefetch_issued_.value; }
     /// Pushed pages this (requester) kernel installed / failed to install.
@@ -176,15 +179,45 @@ public:
     std::uint64_t workset_wasted() const { return workset_wasted_.value; }
 
 private:
+    /// A remote fault's data leg handed to the one kernel that holds the
+    /// bytes (DESIGN.md §14, three-leg faults).
+    struct Forward {
+        topo::KernelId holder = -1; ///< -1: the home answers the requester
+        /// kReplica / kDowngrade: kPageFetch; kOwnership: kPageInvalidate.
+        SurrenderMode mode = SurrenderMode::kReplica;
+        std::uint64_t token = 0; ///< the pending's `surrendering` token
+    };
+
     /// The heart of the protocol; runs at the origin (task or kworker).
     /// On kOk the directory entry is left BUSY with the post-transaction
     /// state parked in the shard's pending map; the requester must call
     /// commit_install (locally or via kPageInstalled) after installing its
     /// PTE. This three-phase shape makes directory state and requester PTEs
-    /// change atomically with respect to other transactions.
+    /// change atomically with respect to other transactions. With `fwd`
+    /// (remote requesters only), a read of a page held elsewhere and a
+    /// write whose only remote victim supplies the bytes are not served
+    /// here: the pending is parked flagged `surrendering`, `fwd` names the
+    /// holder, and the caller hands it the answer with forward_fault.
     FaultStatus origin_transaction(ProcessSite& site, mem::Vaddr page,
                                    std::uint32_t access, topo::KernelId requester,
-                                   PageFaultResp& out);
+                                   PageFaultResp& out, Forward* fwd = nullptr);
+    /// Sends the holder `fwd` names a request carrying the requester's
+    /// ticket, and resolves the pending once it acks. Returns true when the
+    /// requester got its answer from the holder; false when the holder
+    /// shipped nothing (its copy was gone, it saw the requester dead, or it
+    /// died first): the entry is back to its snapshot, minus a dead holder,
+    /// and `out` is a kRetry for the caller to send.
+    bool forward_fault(ProcessSite& site, mem::Vaddr page, topo::KernelId requester,
+                       const Forward& fwd, const FaultReplyTo& to, PageFaultResp& out);
+    /// A holder answered (or died before answering, `lost`) for a page its
+    /// surrendering transaction `token` flagged. Returns false, changing
+    /// nothing, when the requester's confirm already committed the page.
+    /// Otherwise the flag drops: a shipped page then waits for its confirm
+    /// like any other (or is abandoned here if the requester was declared
+    /// dead meanwhile: its reap skipped the flagged pending), and an
+    /// unshipped one returns to its snapshot, minus `lost`.
+    bool resolve_surrender(ProcessSite& site, std::uint64_t vpn, std::uint64_t token,
+                           bool shipped, topo::KernelId lost, topo::KernelId requester);
 
     /// Commits (ok) or rolls back (!ok: requester removed from holders) the
     /// pending state and releases the busy bit.
@@ -271,10 +304,13 @@ private:
     /// appends their revoked frames to `freed`, for the caller to free after
     /// its reply. The home runs it for the pages it holds, a remote owner
     /// for the pages it surrenders.
+    /// With `reply`, the batch is one forwarded demand fault's page and it
+    /// ships as the reply to the requester's fault RPC instead.
     std::uint32_t ship_pages(ProcessSite& site, std::span<Capture> batch,
                              topo::KernelId requester, topo::KernelId home, bool workset,
                              const std::function<void(std::size_t)>& before_send,
-                             std::vector<mem::Paddr>* freed);
+                             std::vector<mem::Paddr>* freed,
+                             const FaultReplyTo* reply = nullptr);
 
     void on_page_fault(msg::Node& node, msg::MessagePtr m);
     void on_home_range_op(msg::Node& node, msg::MessagePtr m);
@@ -284,6 +320,10 @@ private:
     void on_page_fault_batch(msg::Node& node, msg::MessagePtr m);
     void on_page_fetch(msg::Node& node, msg::MessagePtr m);
     void on_page_invalidate(msg::Node& node, msg::MessagePtr m);
+    /// Holder side of a forwarded fault: ship the page to the requester
+    /// (ship_pages with a reply-to), then ack the home dataless.
+    void answer_forwarded(msg::Node& node, const msg::Message& m, Pid pid, mem::Vaddr va,
+                          SurrenderMode mode, const FaultReplyTo& to);
     void on_page_invalidate_range(msg::Node& node, msg::MessagePtr m);
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
     /// kPagePush and kWorksetPush: install the pushed page, ALWAYS confirm,
@@ -297,11 +337,13 @@ private:
     kernel::Kernel& k_;
     bool read_replication_ = true;
     bool inject_lost_invalidate_ = false;
+    std::uint64_t next_surrender_token_ = 0;
     // Registry-backed ("pages.*" in the kernel's MetricsRegistry).
     trace::Counter& local_faults_;
     trace::Counter& remote_faults_;
     trace::Counter& invalidations_;
     trace::Counter& fetches_;
+    trace::Counter& forwarded_;
     trace::Counter& prefetch_issued_;
     trace::Counter& prefetch_hit_;
     trace::Counter& prefetch_wasted_;

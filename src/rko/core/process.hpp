@@ -12,7 +12,6 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "rko/mem/addrspace.hpp"
 #include "rko/race/race.hpp"
@@ -104,11 +103,14 @@ public:
         /// straggling confirm from a reaped requester is recognized as
         /// stale (rko/elastic).
         std::unordered_map<std::uint64_t, topo::KernelId> pending_from;
-        /// Pendings parked for a page a remote owner is still surrendering
-        /// (kPageSurrender in flight): the requester's confirm commits one
-        /// as usual, but only the surrendering transaction rolls one back,
-        /// once the owner says whether it shipped the page.
-        std::unordered_set<std::uint64_t> surrendering;
+        /// Pendings parked for a page a remote holder is still surrendering
+        /// (a kPageSurrender or a forwarded demand fault in flight), by vpn:
+        /// the requester's confirm commits one as usual, but only the
+        /// surrendering transaction rolls one back, once the holder says
+        /// whether it shipped the page. The value is that transaction's
+        /// token, so a late answer never resolves a newer transaction's
+        /// flag on the same page.
+        std::unordered_map<std::uint64_t, std::uint64_t> surrendering;
         /// Busy-release broadcast: transactions blocked on a busy entry
         /// wait here and re-look-up after every release. Shard-level (not
         /// per-entry) so erasing an entry can never strand parked waiters.

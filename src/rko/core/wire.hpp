@@ -87,10 +87,26 @@ static_assert(sizeof(PageFaultResp) == 8 + mem::kPageSize,
               "PageFaultResp must keep its pre-`source` wire size: copy costs "
               "are charged per byte and golden baselines depend on them");
 
+/// Where a holder sends the bytes of a forwarded demand fault (DESIGN.md
+/// §14, three-leg faults): straight to the requester, as the reply to the
+/// kPageFault or kPageFaultBatch RPC it posted to the home. Trails the
+/// holder requests below and travels only on forwarded ones (wire_bytes),
+/// so every request the home answers itself keeps its wire size.
+struct FaultReplyTo {
+    std::uint64_t ticket;        ///< the requester's RPC ticket (nonzero)
+    std::uint32_t extra_granted; ///< batch replies: PageFaultBatchResp::extra_granted
+    std::uint8_t requester;
+    std::uint8_t batch;          ///< reply as kPageFaultBatch, else kPageFault
+};
+
+/// Home -> holder: copy the page, downgrading an Exclusive holder when
+/// asked. Forwarded (`reply_to` carried), the holder ships the copy to the
+/// requester and acks the home with a dataless PageForwardAck.
 struct PageFetchReq {
     Pid pid;
     mem::Vaddr va;
     bool downgrade; ///< holder drops write permission (Exclusive -> Shared)
+    FaultReplyTo reply_to;
 };
 
 struct PageFetchResp {
@@ -98,10 +114,19 @@ struct PageFetchResp {
     std::array<std::byte, mem::kPageSize> data;
 };
 
+/// Home -> holder: drop the copy, returning its bytes when asked.
+/// Forwarded, the holder revokes its copy and ships the bytes to the
+/// requester instead (always with data: only the byte source forwards).
 struct PageInvalidateReq {
     Pid pid;
     mem::Vaddr va;
     bool want_data; ///< holder must return its (possibly dirty) bytes
+    FaultReplyTo reply_to;
+};
+
+/// Holder -> home: the answer to a forwarded kPageFetch / kPageInvalidate.
+struct PageForwardAck {
+    bool shipped; ///< the requester was sent the page; the holder's copy changed
 };
 
 struct PageInvalidateResp {
@@ -251,6 +276,16 @@ static_assert(offsetof(PageInvalidateResp, data) == 2,
 inline std::size_t wire_bytes(const PageFaultResp& r) {
     return offsetof(PageFaultResp, data) + (r.data_included ? mem::kPageSize : 0);
 }
+// A holder request carries its reply-to only when the home forwards.
+inline std::size_t wire_bytes(const PageFetchReq& r) {
+    return r.reply_to.ticket != 0 ? sizeof(r) : offsetof(PageFetchReq, reply_to);
+}
+inline std::size_t wire_bytes(const PageInvalidateReq& r) {
+    return r.reply_to.ticket != 0 ? sizeof(r) : offsetof(PageInvalidateReq, reply_to);
+}
+static_assert(offsetof(PageFetchReq, reply_to) == 24 &&
+                  offsetof(PageInvalidateReq, reply_to) == 24,
+              "unforwarded holder requests keep their pre-forwarding wire size");
 inline std::size_t wire_bytes(const PageFetchResp& r) {
     return offsetof(PageFetchResp, data) + (r.ok ? mem::kPageSize : 0);
 }

@@ -237,9 +237,13 @@ std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items) {
 
 void Node::reply(const Message& request, MessagePtr response) {
     RKO_ASSERT(request.hdr.kind == MsgKind::kRequest);
+    reply_to(request.hdr.src, request.hdr.ticket, std::move(response));
+}
+
+void Node::reply_to(KernelId dst, std::uint64_t ticket, MessagePtr response) {
     response->hdr.kind = MsgKind::kReply;
-    response->hdr.ticket = request.hdr.ticket;
-    send(request.hdr.src, std::move(response));
+    response->hdr.ticket = ticket;
+    send(dst, std::move(response));
 }
 
 void Node::complete_reply(MessagePtr message) {

@@ -105,6 +105,12 @@ public:
     /// Sends `response` as the reply to `request`.
     void reply(const Message& request, MessagePtr response);
 
+    /// Sends `response` to `dst` as the reply to the rpc `ticket` that
+    /// `dst` posted to another kernel, which handed this one the answer (a
+    /// forwarded demand fault, DESIGN.md §14). A ticket takes exactly one
+    /// reply, so the kernel that handed the answer on must not send one.
+    void reply_to(KernelId dst, std::uint64_t ticket, MessagePtr response);
+
     /// Sends `request` to every kernel in `dsts` and parks until all
     /// replies arrive; returns them in dst order. The request is copied per
     /// destination.

@@ -156,6 +156,7 @@ TEST(Check, ScenarioRegistry) {
     EXPECT_NE(check::find_scenario("home_storm"), nullptr);
     EXPECT_NE(check::find_scenario("migrate_ownership_race"), nullptr);
     EXPECT_NE(check::find_scenario("surrender_kill"), nullptr);
+    EXPECT_NE(check::find_scenario("fault_forward_kill"), nullptr);
     EXPECT_EQ(check::find_scenario("no_such_scenario"), nullptr);
 }
 

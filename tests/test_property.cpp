@@ -248,6 +248,17 @@ struct FuzzParam {
     bool read_replication = true;
 };
 
+std::string fuzz_name(const FuzzParam& p) {
+    return "seed" + std::to_string(p.seed) + "_c" + std::to_string(p.cores) + "_k" +
+           std::to_string(p.kernels) + "_t" + std::to_string(p.threads) +
+           (p.read_replication ? "" : "_noshared");
+}
+
+// gtest prints GetParam() into every listed test name; its fallback dumps
+// the struct's bytes, padding included, so the names would change from
+// build to build.
+void PrintTo(const FuzzParam& p, std::ostream* os) { *os << fuzz_name(p); }
+
 class DsmFuzz : public testing::TestWithParam<FuzzParam> {};
 
 TEST_P(DsmFuzz, NoIncrementEverLost) {
@@ -356,12 +367,8 @@ INSTANTIATE_TEST_SUITE_P(
                     // migrate-on-any-fault ablation (no Shared state)
                     FuzzParam{17, 8, 4, 8, false},
                     FuzzParam{18, 8, 2, 6, false}),
-    [](const testing::TestParamInfo<FuzzParam>& info) {
-        return "seed" + std::to_string(info.param.seed) + "_c" +
-               std::to_string(info.param.cores) + "_k" +
-               std::to_string(info.param.kernels) + "_t" +
-               std::to_string(info.param.threads) +
-               (info.param.read_replication ? "" : "_noshared");
+    [](const testing::TestParamInfo<FuzzParam>& param_info) {
+        return fuzz_name(param_info.param);
     });
 
 } // namespace

@@ -242,6 +242,14 @@ trace::MetricsRegistry Machine::collect_metrics() {
     for (topo::KernelId k = 0; k < config_.nkernels; ++k) {
         msg::Node& node = fabric_->node(k);
         merged.counter("msg.dispatched").inc(node.total_dispatched());
+        // Per message type, so a table cell's traffic can be told apart.
+        for (std::size_t t = 0; t < msg::kNumMsgTypes; ++t) {
+            const auto type = static_cast<msg::MsgType>(t);
+            if (const std::uint64_t n = node.dispatched(type); n != 0) {
+                merged.counter(std::string("msg.dispatched.") + msg::msg_type_name(type))
+                    .inc(n);
+            }
+        }
         merged.histogram("msg.delivery_ns").merge(node.delivery_latency());
         merged.counter("msg.scatter.batches").inc(node.scatter_batches());
         merged.counter("msg.scatter.posts").inc(node.scatter_posts());

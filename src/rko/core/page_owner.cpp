@@ -33,7 +33,6 @@
 #include <cstring>
 #include <limits>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -82,18 +81,34 @@ std::size_t carried_count(const msg::Message& m, std::uint32_t count, std::size_
     return std::min<std::size_t>({count, N, carried});
 }
 
-/// The home's request to one holder: kPageFetch (`flag` = downgrade) or
-/// kPageInvalidate (`flag` = want_data). With `to`, the holder answers the
-/// requester's fault itself (forward_fault); without, it answers the home
-/// and the request keeps its unforwarded wire size.
-template <typename Req>
-msg::MessagePtr holder_request(Pid pid, mem::Vaddr va, bool flag,
-                               const FaultReplyTo* to = nullptr) {
-    constexpr msg::MsgType type = std::is_same_v<Req, PageFetchReq>
-                                      ? msg::MsgType::kPageFetch
-                                      : msg::MsgType::kPageInvalidate;
-    const Req req{pid, va, flag, to != nullptr ? *to : FaultReplyTo{}};
-    return msg::make_message_prefix(type, msg::MsgKind::kRequest, req, wire_bytes(req));
+/// A kPageSurrender message for `req`, truncated to the VPNs it carries.
+msg::MessagePtr surrender_message(const PageSurrenderReq& req) {
+    return msg::make_message_prefix(msg::MsgType::kPageSurrender, msg::MsgKind::kRequest,
+                                    req, wire_bytes(req));
+}
+
+/// The home's request to one holder for one page. With `requester` the
+/// sending home, the bytes come back in the reply (surrendered_bytes); with
+/// a ticket in `to`, the holder answers the requester's fault itself
+/// (forward_fault).
+msg::MessagePtr surrender_one(Pid pid, topo::KernelId requester, mem::Vaddr va,
+                              SurrenderMode mode, const FaultReplyTo& to = {}) {
+    PageSurrenderReq req{};
+    req.pid = pid;
+    req.requester = requester;
+    req.count = 1;
+    req.reply_to = to;
+    req.mode[0] = mode;
+    req.vpn[0] = mem::vpn_of(va);
+    return surrender_message(req);
+}
+
+/// The page a one-page surrender to the home brought back; null when the
+/// holder died (null reply), had no copy, or the mode ships no bytes.
+const std::byte* surrendered_bytes(const msg::MessagePtr& reply) {
+    if (reply == nullptr) return nullptr;
+    const auto& resp = reply->payload_prefix_as<PageSurrenderResp>();
+    return resp.data_included ? resp.data.data() : nullptr;
 }
 
 /// The requester's last leg: tells `home` whether the install of `va`
@@ -165,8 +180,6 @@ void PageOwner::install() {
     handle(MsgType::kPageFault, HandlerClass::kBlocking, &PageOwner::on_page_fault);
     handle(MsgType::kPageFaultBatch, HandlerClass::kBlocking,
            &PageOwner::on_page_fault_batch);
-    handle(MsgType::kPageFetch, HandlerClass::kLeaf, &PageOwner::on_page_fetch);
-    handle(MsgType::kPageInvalidate, HandlerClass::kLeaf, &PageOwner::on_page_invalidate);
     handle(MsgType::kPageInvalidateRange, HandlerClass::kLeaf,
            &PageOwner::on_page_invalidate_range);
     handle(MsgType::kPageInstalled, HandlerClass::kLeaf, &PageOwner::on_page_installed);
@@ -179,50 +192,14 @@ void PageOwner::install() {
 }
 
 // ---------------------------------------------------------------------------
-// Local holder operations (this kernel gives up or shares its copy).
-// ---------------------------------------------------------------------------
-
-bool PageOwner::local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
-                            std::byte* out) {
-    Capture c{page, downgrade ? SurrenderMode::kDowngrade : SurrenderMode::kReplica, out};
-    capture_pages(site, {&c, 1});
-    return c.captured;
-}
-
-bool PageOwner::local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
-                                 std::byte* out, bool* data_included) {
-    WriteGuard guard(site.space().mmap_lock());
-    const mem::Pte* pte = site.space().page_table().find(page);
-    RKO_TRACE("%lld invalidate k=%d page=%llx present=%d",
-              static_cast<long long>(k_.engine().now()), k_.id(),
-              static_cast<unsigned long long>(page),
-              static_cast<int>(pte != nullptr && pte->present));
-    if (pte == nullptr || !pte->present) return false;
-    // INVARIANT: the PTE clear and the TLB-generation bump must land in the
-    // same no-yield window — any sleep in between (the data copy, the frame
-    // free's allocator time) would let a local task's soft-TLB serve a
-    // stale writable pointer into the frame being reclaimed. The bytes are
-    // captured AFTER revocation, so no local store can race past the copy.
-    const mem::Pte old = site.space().page_table().clear(page);
-    site.space().bump_tlb_generation();
-    if (want_data) {
-        std::memcpy(out, k_.phys().frame_ptr(old.paddr), mem::kPageSize);
-        sim::current_actor().sleep_for(k_.costs().page_copy);
-        *data_included = true;
-    }
-    k_.frames().free(old.paddr);
-    sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    return true;
-}
-
-// ---------------------------------------------------------------------------
 // The origin-side transaction.
 // ---------------------------------------------------------------------------
 
 FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                                           std::uint32_t access,
                                           topo::KernelId requester,
-                                          PageFaultResp& out, Forward* fwd) {
+                                          PageFaultResp& out,
+                                          std::vector<mem::Paddr>& freed, Forward* fwd) {
     // With sharded homes the transaction runs at the page's home kernel,
     // which is the origin only for the shards it happens to own.
     RKO_ASSERT(may_home(site));
@@ -368,14 +345,18 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 // mid-transaction (elastic) returns a null reply; its copy
                 // died with it, so try the next one. With every holder dead
                 // the data is lost and the requester zero-fills.
-                const bool downgrade = snapshot.state == PageDirEntry::State::kExclusive;
+                const SurrenderMode mode = snapshot.state == PageDirEntry::State::kExclusive
+                                               ? SurrenderMode::kDowngrade
+                                               : SurrenderMode::kReplica;
                 bool have_data = false;
                 topo::KernelMask live = snapshot.holder_mask();
                 // Our own copy can be gone despite the directory listing us:
                 // a munmap's replica sweep drops PTEs without waiting on the
                 // busy bit. Fall through to the remote holders if so.
                 if (snapshot.holds(k_.id())) {
-                    have_data = local_fetch(site, page, downgrade, out.data.data());
+                    Capture own{page, mode, out.data.data()};
+                    capture_pages(site, {&own, 1});
+                    have_data = own.captured;
                     if (have_data) {
                         out.source = static_cast<std::uint8_t>(k_.id());
                     } else {
@@ -394,23 +375,22 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                         // Three legs: this holder sends the requester its copy
                         // (forward_fault).
                         forward_to = source;
-                        forward_mode = downgrade ? SurrenderMode::kDowngrade
-                                                 : SurrenderMode::kReplica;
+                        forward_mode = mode;
                         break;
                     }
                     msg::RpcStatus st = msg::RpcStatus::kOk;
-                    auto reply = k_.node().rpc(
-                        source, holder_request<PageFetchReq>(site.pid(), page, downgrade),
-                        &st);
-                    // ok=false: the holder dropped its copy between our
-                    // snapshot and the fetch (a munmap's replica sweep is not
-                    // gated on our busy bit) — the same transient the write
-                    // path tolerates from invalidate replies.
-                    if (reply == nullptr || !reply->payload_prefix_as<PageFetchResp>().ok) {
+                    const msg::MessagePtr reply = k_.node().rpc(
+                        source, surrender_one(site.pid(), k_.id(), page, mode), &st);
+                    // No bytes: the holder dropped its copy between our
+                    // snapshot and the request (a munmap's replica sweep is
+                    // not gated on our busy bit) — the same transient the
+                    // write path tolerates from its victims.
+                    const std::byte* bytes = surrendered_bytes(reply);
+                    if (bytes == nullptr) {
                         live &= ~topo::kbit(source);
                         continue;
                     }
-                    out.data = reply->payload_prefix_as<PageFetchResp>().data;
+                    std::memcpy(out.data.data(), bytes, mem::kPageSize);
                     out.source = static_cast<std::uint8_t>(source);
                     have_data = true;
                 }
@@ -426,12 +406,12 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
                 }
             }
         } else {
-            // WRITE: invalidate every other copy CONCURRENTLY. Exactly one
-            // victim is asked for its bytes (`want_data`; all copies agree
-            // in Shared state, and Exclusive has a single holder) — the
-            // rest answer with a dataless two-byte reply — and all the
-            // round trips overlap in one rpc_scatter, so K sharers cost
-            // about one RTT instead of K.
+            // WRITE: revoke every other copy CONCURRENTLY. Exactly one
+            // victim surrenders its bytes (kOwnership; all copies agree in
+            // Shared state, and Exclusive has a single holder) — the rest
+            // drop theirs (kDrop) and answer dataless — and all the round
+            // trips overlap in one rpc_scatter, so K sharers cost about one
+            // RTT instead of K.
             const bool requester_holds = snapshot.holds(requester);
             topo::KernelMask victims = snapshot.holder_mask() & ~topo::kbit(requester);
             // Dead holders (elastic) cannot answer an invalidate and their
@@ -452,16 +432,19 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             }
             const bool need_data = !requester_holds;
             bool have_data = false;
-            // The origin's own copy drops inline (no message) and is the
-            // cheapest byte source when one is needed.
+            // The home's own copy is captured in place (no message) and is
+            // the cheapest byte source when one is needed.
             if ((victims & topo::kbit(k_.id())) != 0) {
                 invalidations_.inc();
-                bool included = false;
-                const bool had = local_invalidate(site, page, need_data,
-                                                  out.data.data(), &included);
-                if (had && included) {
-                    out.source = static_cast<std::uint8_t>(k_.id());
-                    have_data = true;
+                Capture own{page, need_data ? SurrenderMode::kOwnership : SurrenderMode::kDrop,
+                            out.data.data()};
+                capture_pages(site, {&own, 1});
+                if (own.captured) {
+                    freed.push_back(own.revoked.paddr);
+                    if (need_data) {
+                        out.source = static_cast<std::uint8_t>(k_.id());
+                        have_data = true;
+                    }
                 }
                 victims &= ~topo::kbit(k_.id());
             }
@@ -484,18 +467,18 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
             for (topo::KernelMask mask = victims; mask != 0; mask &= mask - 1) {
                 const auto holder = static_cast<topo::KernelId>(std::countr_zero(mask));
                 invalidations_.inc();
-                posts.push_back({holder, holder_request<PageInvalidateReq>(
-                                             site.pid(), page, holder == data_source)});
+                posts.push_back({holder, surrender_one(site.pid(), k_.id(), page,
+                                                       holder == data_source
+                                                           ? SurrenderMode::kOwnership
+                                                           : SurrenderMode::kDrop)});
                 post_holder.push_back(holder);
             }
             if (!posts.empty()) {
-                auto replies = k_.node().rpc_scatter(std::move(posts));
+                const auto replies = k_.node().rpc_scatter(std::move(posts));
                 for (std::size_t i = 0; i < replies.size(); ++i) {
-                    if (replies[i] == nullptr) continue; // victim died mid-scatter
-                    const auto& inv =
-                        replies[i]->payload_prefix_as<PageInvalidateResp>();
-                    if (inv.had_page && inv.data_included) {
-                        out.data = inv.data;
+                    // A victim that died mid-scatter answers null.
+                    if (const std::byte* bytes = surrendered_bytes(replies[i])) {
+                        std::memcpy(out.data.data(), bytes, mem::kPageSize);
                         out.source = static_cast<std::uint8_t>(post_holder[i]);
                         have_data = true;
                     }
@@ -543,14 +526,10 @@ bool PageOwner::forward_fault(ProcessSite& site, mem::Vaddr page,
                               topo::KernelId requester, const Forward& fwd,
                               const FaultReplyTo& to, PageFaultResp& out) {
     msg::RpcStatus st = msg::RpcStatus::kOk;
-    const msg::MessagePtr ack = k_.node().rpc(
-        fwd.holder,
-        fwd.mode == SurrenderMode::kOwnership
-            ? holder_request<PageInvalidateReq>(site.pid(), page, true, &to)
-            : holder_request<PageFetchReq>(site.pid(), page,
-                                           fwd.mode == SurrenderMode::kDowngrade, &to),
-        &st);
-    const bool shipped = ack != nullptr && ack->payload_as<PageForwardAck>().shipped;
+    const msg::MessagePtr ack =
+        k_.node().rpc(fwd.holder, surrender_one(site.pid(), requester, page, fwd.mode, to), &st);
+    const bool shipped =
+        ack != nullptr && ack->payload_prefix_as<PageSurrenderResp>().shipped != 0;
     // A flag the requester's confirm already cleared means the holder
     // answered it, whatever its ack says: a holder that died after its
     // reply is declared dead a probe timeout after it at the earliest,
@@ -678,7 +657,7 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
         sim::current_actor().sleep_for(k_.costs().page_copy);
     }
     // Replace any stale mapping (should not exist; belt and braces). Clear
-    // and bump before the free can yield (see local_invalidate).
+    // and bump before the free can yield (see capture_pages).
     if (const mem::Pte* old = site.space().page_table().find(page);
         old != nullptr && old->present) {
         const mem::Pte cleared = site.space().page_table().clear(page);
@@ -707,8 +686,9 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     if (home == k_.id()) {
         local_faults_.inc();
         trace::Span span(k_.engine(), k_.id(), "page.fault.local", page);
+        std::vector<mem::Paddr> freed; // stays empty: a requester is never its own victim
         const FaultStatus status =
-            origin_transaction(site, page, access, k_.id(), resp);
+            origin_transaction(site, page, access, k_.id(), resp, freed);
         if (status == FaultStatus::kSegv) return mem::Mmu::FaultResult::kSegv;
         if (status == FaultStatus::kRetry) return mem::Mmu::FaultResult::kFixed;
         const bool installed = install_locally(site, vma, page, access, resp);
@@ -781,9 +761,13 @@ mem::Mmu::FaultResult PageOwner::acquire(ProcessSite& site, const mem::Vma& vma,
     }
     remote_latency_.add(k_.engine().now() - t0);
     if (reply == nullptr) {
-        // The home died mid-fault (never the immortal origin). Refault — by
-        // the time the MMU retries, the membership update has re-homed the
-        // shard and the route recomputes.
+        // The home died mid-fault (never the immortal origin). Refault once
+        // this kernel's home map has re-homed the shard: the node can learn
+        // of the death before the membership update moves it.
+        while (home_of(site, page) == home) {
+            if (k_.node().dead()) throw msg::LocalNodeDead{};
+            k_.engine().current().sleep_for(1000);
+        }
         return mem::Mmu::FaultResult::kFixed;
     }
     const PageFaultResp& fault_resp =
@@ -813,34 +797,10 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
             if (found == nullptr || (found->prot & mem::kProtRead) == 0) return nullptr;
             vma = *found;
         }
-        // Sharded homes: the page's directory entry may live on another
-        // kernel even though we are the origin — take the requester role
-        // (recomputed per attempt: the home moves if its owner dies).
-        const topo::KernelId home = home_of(site, page);
-        if (home != k_.id()) {
-            msg::RpcStatus st = msg::RpcStatus::kOk;
-            auto reply = k_.node().rpc(
-                home,
-                msg::make_message(msg::MsgType::kPageFault, msg::MsgKind::kRequest,
-                                  PageFaultReq{site.pid(), page, mem::kProtRead,
-                                               k_.id()}),
-                &st);
-            if (reply == nullptr) continue; // home died: re-route next attempt
-            const auto& resp = reply->payload_prefix_as<PageFaultResp>();
-            if (resp.status == FaultStatus::kSegv) return nullptr;
-            if (resp.status == FaultStatus::kRetry) continue;
-            const bool installed =
-                install_locally(site, vma, page, mem::kProtRead, resp);
-            confirm_install(k_.node(), home, site.pid(), page, installed);
-            continue; // loop re-checks the PTE
+        // A read fault like any other; the loop re-checks the PTE.
+        if (acquire(site, vma, page, mem::kProtRead) == mem::Mmu::FaultResult::kSegv) {
+            return nullptr;
         }
-        PageFaultResp resp{};
-        const FaultStatus status =
-            origin_transaction(site, page, mem::kProtRead, k_.id(), resp);
-        if (status == FaultStatus::kRetry) continue; // the home moved: re-route
-        if (status != FaultStatus::kOk) return nullptr;
-        const bool installed = install_locally(site, vma, page, mem::kProtRead, resp);
-        commit_install(site, page, k_.id(), installed);
     }
     return nullptr;
 }
@@ -944,7 +904,7 @@ void append_ranged_posts(
     }
 }
 
-/// Sends a ranged pull's byte-source invalidates (`posts`, post i for
+/// Sends a ranged pull's byte-source surrenders (`posts`, post i for
 /// pages[post_page[i]]) and the ranged `drops` in ONE scatter; each source's
 /// bytes land in its page's `data`. A source that died leaves its page
 /// without data.
@@ -959,10 +919,8 @@ void scatter_pulls(msg::Node& node, Pid pid, std::vector<msg::Node::ScatterItem>
     if (posts.empty()) return;
     const auto replies = node.rpc_scatter(std::move(posts));
     for (std::size_t i = 0; i < nsources; ++i) {
-        if (replies[i] == nullptr) continue;
-        const auto& inv = replies[i]->payload_prefix_as<PageInvalidateResp>();
-        if (inv.had_page && inv.data_included) {
-            pages[post_page[i]].data = inv.data;
+        if (const std::byte* bytes = surrendered_bytes(replies[i])) {
+            std::memcpy(pages[post_page[i]].data.data(), bytes, mem::kPageSize);
             pages[post_page[i]].have_data = true;
         }
     }
@@ -1113,18 +1071,17 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
         ProcessSite::DirShard* shard;
         std::uint64_t vpn;
         bool origin_holds = false;
-        int source_post = -1; ///< scatter index of this page's want_data invalidate
         bool have_data = false;
         std::array<std::byte, mem::kPageSize> data;
     };
     std::vector<SeqPage> pages;
-    std::vector<std::size_t> post_page; // want_data post index -> pages index
+    std::vector<std::size_t> post_page; // byte-source post index -> pages index
     std::vector<msg::Node::ScatterItem> posts;
     std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
 
     // Phase 1: claim everything in range. For each page the origin does
-    // not hold, ONE holder is asked for the bytes (per-page invalidate with
-    // want_data); every other holder lands in a ranged dataless drop. All
+    // not hold, ONE holder surrenders the bytes (a one-page kOwnership
+    // surrender); every other holder lands in a ranged dataless drop. All
     // of it ships in a single scatter below.
     for (auto& shard : site.dir_shards()) {
         for (const std::uint64_t vpn : collect_vpns(shard, vpn_lo, vpn_hi)) {
@@ -1141,10 +1098,9 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
                     static_cast<topo::KernelId>(std::countr_zero(rest));
                 rest &= rest - 1;
                 invalidations_.inc();
-                p.source_post = static_cast<int>(posts.size());
                 post_page.push_back(pages.size());
-                posts.push_back(
-                    {source, holder_request<PageInvalidateReq>(site.pid(), page, true)});
+                posts.push_back({source, surrender_one(site.pid(), k_.id(), page,
+                                                       SurrenderMode::kOwnership)});
             }
             for (topo::KernelMask mask = rest; mask != 0; mask &= mask - 1) {
                 const auto holder =
@@ -1156,7 +1112,7 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
         }
     }
 
-    // Phase 2: one scatter for the whole range — byte-source invalidates
+    // Phase 2: one scatter for the whole range — byte-source surrenders
     // and ranged drops fly together.
     scatter_pulls(k_.node(), site.pid(), std::move(posts), drop_by_holder, pages, post_page,
                   range_rpcs_);
@@ -1496,12 +1452,12 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
         std::array<std::byte, mem::kPageSize> data;
     };
     std::vector<EvictPage> pages;
-    std::vector<std::size_t> post_page; // want_data post index -> pages index
+    std::vector<std::size_t> post_page; // byte-source post index -> pages index
     std::vector<msg::Node::ScatterItem> posts;
     std::array<std::vector<std::uint64_t>, topo::kMaxKernels> drop_by_holder;
 
     // Phase 1: claim every entry the holder appears in. Sole copies are
-    // pulled home with a per-page want_data invalidate; shared copies get a
+    // pulled home with a one-page kOwnership surrender; shared copies get a
     // ranged dataless drop.
     for (auto& shard : site.dir_shards()) {
         for (const std::uint64_t vpn :
@@ -1524,8 +1480,8 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
             invalidations_.inc();
             if (p.sole) {
                 post_page.push_back(pages.size());
-                posts.push_back(
-                    {holder, holder_request<PageInvalidateReq>(site.pid(), page, true)});
+                posts.push_back({holder, surrender_one(site.pid(), k_.id(), page,
+                                                       SurrenderMode::kOwnership)});
             } else {
                 drop_by_holder[static_cast<std::size_t>(holder)].push_back(vpn);
             }
@@ -1610,7 +1566,7 @@ std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
                                           const std::vector<std::uint64_t>& vpns) {
     if (vpns.empty()) return 0;
     WriteGuard guard(site.space().mmap_lock());
-    // INVARIANT (see local_invalidate): every PTE clear and the generation
+    // INVARIANT (see capture_pages): every PTE clear and the generation
     // bump must share a no-yield window — so clear them ALL, bump once,
     // and only then free the frames and pay the one modeled shootdown.
     std::vector<mem::Paddr> frames;
@@ -1695,12 +1651,16 @@ std::vector<mem::Vaddr> PageOwner::claim_pages(ProcessSite& site,
 }
 
 void PageOwner::capture_pages(ProcessSite& site, std::span<Capture> batch) {
-    // Every PTE change in the batch — ownership revokes and replica
-    // downgrades alike — shares one generation bump and one modeled
-    // shootdown (the local_*_range shape). Clears, protects and the bump
-    // share a no-yield window; the copy sleeps land after it closes (see
-    // local_invalidate). Revoked frames are NOT freed here: the caller frees
-    // them after its reply, off the requester's critical path.
+    // Every PTE change in the batch — revokes and replica downgrades alike
+    // — shares one generation bump and one modeled shootdown (the
+    // local_*_range shape). Revoked frames are NOT freed here: the caller
+    // frees them after its reply, off the requester's critical path.
+    //
+    // INVARIANT: the PTE changes and the TLB-generation bump must land in
+    // the same no-yield window — any sleep in between (a data copy, a
+    // frame free's allocator time) would let a local task's soft-TLB serve
+    // a stale writable pointer into a frame being revoked. The bytes are
+    // copied AFTER the bump, so no local store can race past the copy.
     WriteGuard guard(site.space().mmap_lock());
     std::uint32_t changed = 0;
     for (Capture& c : batch) {
@@ -1712,7 +1672,7 @@ void PageOwner::capture_pages(ProcessSite& site, std::span<Capture> batch) {
             continue;
         }
         c.captured = true;
-        if (c.mode == SurrenderMode::kOwnership) {
+        if (c.mode == SurrenderMode::kOwnership || c.mode == SurrenderMode::kDrop) {
             c.revoked = site.space().page_table().clear(c.page);
             ++changed;
         } else if (c.mode == SurrenderMode::kDowngrade &&
@@ -1724,7 +1684,7 @@ void PageOwner::capture_pages(ProcessSite& site, std::span<Capture> batch) {
     if (changed != 0) site.space().bump_tlb_generation();
     Nanos copy_cost = 0;
     for (Capture& c : batch) {
-        if (!c.captured) continue;
+        if (!c.captured || c.mode == SurrenderMode::kDrop) continue;
         const mem::Paddr frame = c.mode == SurrenderMode::kOwnership
                                      ? c.revoked.paddr
                                      : site.space().page_table().find(c.page)->paddr;
@@ -1743,8 +1703,9 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
                                     const FaultReplyTo* reply) {
     // A requester already dead gets nothing: every copy stays here.
     if (batch.empty() || k_.node().peer_dead(requester)) return 0;
-    std::vector<PagePushMsg> pushes(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) batch[i].out = pushes[i].data.data();
+    const bool to_home = requester == home; // the bytes ride the caller's reply
+    std::vector<PagePushMsg> pushes(to_home ? 0 : batch.size());
+    for (std::size_t i = 0; i < pushes.size(); ++i) batch[i].out = pushes[i].data.data();
     capture_pages(site, batch);
     const msg::MsgType type = workset ? msg::MsgType::kWorksetPush : msg::MsgType::kPagePush;
     std::uint32_t shipped = 0;
@@ -1752,13 +1713,20 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Capture& c = batch[i];
         if (!c.captured) continue;
+        const bool revoked =
+            c.mode == SurrenderMode::kOwnership || c.mode == SurrenderMode::kDrop;
         // Re-checked per page: each send yields, and a push to a requester
         // declared dead meanwhile would only be dead-lettered.
         if (k_.node().peer_dead(requester)) {
-            if (c.mode == SurrenderMode::kOwnership) kept.push_back(&c);
+            if (revoked) kept.push_back(&c);
             continue;
         }
         if (before_send) before_send(i);
+        if (revoked) freed->push_back(c.revoked.paddr);
+        shipped |= 1u << i;
+        // Nothing travels for a dropped page, nor when the bytes ride the
+        // caller's reply.
+        if (to_home || c.mode == SurrenderMode::kDrop) continue;
         PagePushMsg& push = pushes[i];
         if (reply != nullptr) {
             // A forwarded demand fault: the page is the answer to the
@@ -1784,8 +1752,6 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
             k_.node().send(requester, msg::make_message_prefix(type, msg::MsgKind::kOneway,
                                                                push, wire_bytes(push)));
         }
-        if (c.mode == SurrenderMode::kOwnership) freed->push_back(c.revoked.paddr);
-        shipped |= 1u << i;
     }
     if (kept.empty()) return shipped;
     // Kept copies are whole again before anyone learns they stayed: a
@@ -1962,10 +1928,7 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
     if (reqs.empty()) return pushed;
     std::vector<msg::Node::ScatterItem> posts;
     for (std::size_t r = 0; r < reqs.size(); ++r) {
-        posts.push_back({req_source[r],
-                         msg::make_message_prefix(msg::MsgType::kPageSurrender,
-                                                  msg::MsgKind::kRequest, reqs[r],
-                                                  wire_bytes(reqs[r]))});
+        posts.push_back({req_source[r], surrender_message(reqs[r])});
     }
     const auto replies = k_.node().rpc_scatter(std::move(posts));
 
@@ -1978,7 +1941,7 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
                 // confirmed, and an unconfirmed page died with its copy.
                 resolve_surrender(site, vpn, token, /*shipped=*/false, req_source[r],
                                   requester);
-            } else if ((replies[r]->payload_as<PageSurrenderResp>().shipped &
+            } else if ((replies[r]->payload_prefix_as<PageSurrenderResp>().shipped &
                         (1u << k)) != 0) {
                 issued.inc();
                 ++pushed;
@@ -2054,6 +2017,7 @@ void PageOwner::workset_prefault(ProcessSite& site, task::Task& t) {
 void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<PageFaultReq>();
     PageFaultResp resp{};
+    std::vector<mem::Paddr> freed;
     if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
         // A fault from an already-declared-dead requester must not park a
         // pending install nobody will ever confirm; the reply dead-letters.
@@ -2065,12 +2029,12 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     } else {
         ProcessSite& site = k_.site(req.pid);
         Forward fwd;
-        origin_transaction(site, req.va, req.access, req.requester, resp, &fwd);
+        origin_transaction(site, req.va, req.access, req.requester, resp, freed, &fwd);
         if (fwd.holder >= 0 &&
             forward_fault(site, req.va, req.requester, fwd,
                           {m->hdr.ticket, 0, static_cast<std::uint8_t>(req.requester), 0},
                           resp)) {
-            return; // the holder answered the requester
+            return; // the holder answered; a forwarding home revokes nothing
         }
         if (resp.status == FaultStatus::kOk && k_.node().peer_dead(req.requester)) {
             // The requester died while we worked: its kPageInstalled will
@@ -2084,6 +2048,8 @@ void PageOwner::on_page_fault(msg::Node& node, msg::MessagePtr m) {
     node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFault,
                                             msg::MsgKind::kReply, resp,
                                             wire_bytes(resp)));
+    // Revoked frames are freed after the reply (see on_page_fault_batch).
+    for (const mem::Paddr frame : freed) k_.frames().free(frame);
 }
 
 void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
@@ -2091,6 +2057,7 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     PageFaultBatchResp resp{};
     ProcessSite* site = nullptr;
     std::vector<mem::Vaddr> grants;
+    std::vector<mem::Paddr> freed;
     Forward fwd;
     const bool boosted = req.workset != 0;
     if (!k_.has_site(req.pid) || k_.node().peer_dead(req.requester)) {
@@ -2099,7 +2066,8 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
         resp.first.status = FaultStatus::kRetry;
     } else {
         site = &k_.site(req.pid);
-        origin_transaction(*site, req.va, req.access, req.requester, resp.first, &fwd);
+        origin_transaction(*site, req.va, req.access, req.requester, resp.first, freed,
+                           &fwd);
         if (resp.first.status == FaultStatus::kOk) {
             if (k_.node().peer_dead(req.requester)) {
                 // A forwarded pending is resolved by forward_fault below.
@@ -2118,7 +2086,6 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
         }
     }
     resp.extra_granted = static_cast<std::uint32_t>(grants.size());
-    std::vector<mem::Paddr> freed;
     // Boosted batch (§15): push FIRST, reply last. Every push is sent
     // before the reply (a forwarded one by its owner, which answers us
     // only afterwards), so the window reaches the requester's leaf pool
@@ -2146,26 +2113,10 @@ void PageOwner::on_page_fault_batch(msg::Node& node, msg::MessagePtr m) {
     if (!boosted && !grants.empty()) {
         push_pages(*site, grants, req.requester, /*owned=*/false, &freed);
     }
-    // Frames revoked by ownership pushes go back to the allocator only now:
-    // each free sleeps the allocator path, which the requester need not wait
-    // for.
+    // Frames revoked by the transaction or ownership pushes go back to the
+    // allocator only now: each free sleeps the allocator path, which the
+    // requester need not wait for.
     for (const mem::Paddr frame : freed) k_.frames().free(frame);
-}
-
-void PageOwner::on_page_fetch(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_prefix_as<PageFetchReq>();
-    if (m->hdr.payload_size == sizeof(PageFetchReq)) {
-        const SurrenderMode mode =
-            req.downgrade ? SurrenderMode::kDowngrade : SurrenderMode::kReplica;
-        answer_forwarded(node, *m, req.pid, req.va, mode, req.reply_to);
-        return;
-    }
-    PageFetchResp resp{};
-    resp.ok = k_.has_site(req.pid) &&
-              local_fetch(k_.site(req.pid), req.va, req.downgrade, resp.data.data());
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageFetch,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
 }
 
 void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {
@@ -2186,43 +2137,6 @@ void PageOwner::on_page_installed(msg::Node& node, msg::MessagePtr m) {
     shard.lock.unlock();
     if (!current) return;
     commit_install(site, done.va, done.requester, done.ok);
-}
-
-void PageOwner::on_page_invalidate(msg::Node& node, msg::MessagePtr m) {
-    const auto& req = m->payload_prefix_as<PageInvalidateReq>();
-    if (m->hdr.payload_size == sizeof(PageInvalidateReq)) {
-        answer_forwarded(node, *m, req.pid, req.va, SurrenderMode::kOwnership,
-                         req.reply_to);
-        return;
-    }
-    PageInvalidateResp resp{};
-    resp.data_included = false;
-    resp.had_page =
-        k_.has_site(req.pid) &&
-        local_invalidate(k_.site(req.pid), req.va, req.want_data, resp.data.data(),
-                         &resp.data_included);
-    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageInvalidate,
-                                            msg::MsgKind::kReply, resp,
-                                            wire_bytes(resp)));
-}
-
-void PageOwner::answer_forwarded(msg::Node& node, const msg::Message& m, Pid pid,
-                                 mem::Vaddr va, SurrenderMode mode,
-                                 const FaultReplyTo& to) {
-    PageForwardAck ack{false};
-    std::vector<mem::Paddr> freed;
-    if (k_.has_site(pid)) {
-        // The one-page case of on_page_surrender: the same capture, and a
-        // requester seen dead is sent nothing (a revoked copy is restored).
-        Capture c{va, mode};
-        ack.shipped = ship_pages(k_.site(pid), {&c, 1}, to.requester, m.hdr.src,
-                                 /*workset=*/false, nullptr, &freed, &to) != 0;
-    }
-    if (ack.shipped) forwarded_.inc();
-    node.reply(m, msg::make_message(m.hdr.type, msg::MsgKind::kReply, ack));
-    // A revoked frame goes back to the allocator after the ack (see
-    // on_page_fault_batch).
-    for (const mem::Paddr frame : freed) k_.frames().free(frame);
 }
 
 void PageOwner::on_page_invalidate_range(msg::Node& node, msg::MessagePtr m) {
@@ -2294,20 +2208,29 @@ void PageOwner::on_page_surrender(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_prefix_as<PageSurrenderReq>();
     PageSurrenderResp resp{};
     std::vector<mem::Paddr> freed;
+    // The asking home wants the bytes itself: one page, back in the reply.
+    const bool to_home = req.requester == m->hdr.src;
+    const bool forwarded = req.reply_to.ticket != 0;
     if (k_.has_site(req.pid)) {
         std::vector<Capture> batch(
             carried_count(*m, req.count, offsetof(PageSurrenderReq, vpn), req.vpn));
+        if ((to_home || forwarded) && batch.size() > 1) batch.resize(1);
         for (std::size_t i = 0; i < batch.size(); ++i) {
             batch[i].page = static_cast<mem::Vaddr>(req.vpn[i]) << mem::kPageShift;
             batch[i].mode = req.mode[i];
+            batch[i].out = resp.data.data(); // ship_pages repoints it unless to_home
         }
         // The same capture and sends the home runs for the pages it holds;
         // the confirms go to the home, not to us.
         resp.shipped = ship_pages(k_.site(req.pid), batch, req.requester, m->hdr.src,
-                                  req.workset != 0, nullptr, &freed);
+                                  req.workset != 0, nullptr, &freed,
+                                  forwarded ? &req.reply_to : nullptr);
+        resp.data_included =
+            to_home && resp.shipped != 0 && batch[0].mode != SurrenderMode::kDrop;
     }
-    node.reply(*m, msg::make_message(msg::MsgType::kPageSurrender,
-                                     msg::MsgKind::kReply, resp));
+    if (forwarded && resp.shipped != 0) forwarded_.inc();
+    node.reply(*m, msg::make_message_prefix(msg::MsgType::kPageSurrender,
+                                            msg::MsgKind::kReply, resp, wire_bytes(resp)));
     // Revoked frames go back to the allocator only now (see
     // on_page_fault_batch).
     for (const mem::Paddr frame : freed) k_.frames().free(frame);

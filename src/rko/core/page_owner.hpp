@@ -53,9 +53,9 @@ public:
     explicit PageOwner(kernel::Kernel& k);
 
     /// Registers kPageFault / kPageFaultBatch / kHomeRangeOp / kWorksetPull
-    /// (blocking), kPageFetch / kPageInvalidate / kPageInvalidateRange /
-    /// kPageInstalled / kHomeRebuild / kPageSurrender (leaf), and kPagePush
-    /// + kWorksetPush (leaf, one handler: on_page_push).
+    /// (blocking), kPageSurrender / kPageInvalidateRange / kPageInstalled /
+    /// kHomeRebuild (leaf), and kPagePush + kWorksetPush (leaf, one
+    /// handler: on_page_push).
     void install();
 
     /// Protocol ablation: when false, read faults also take exclusive
@@ -88,8 +88,9 @@ public:
                                   task::Task* t = nullptr);
 
     /// Ensures this (origin) kernel holds a readable copy of `page` —
-    /// used by the distributed futex to peek at user words. Returns the
-    /// host pointer to the local frame, or null if unmapped/SEGV.
+    /// used by the distributed futex to peek at user words. A missing copy
+    /// is read-faulted in with acquire. Returns the host pointer to the
+    /// local frame, or null if unmapped/SEGV.
     std::byte* ensure_readable(ProcessSite& site, mem::Vaddr page);
 
     /// Home-side munmap support: invalidates every copy of every page in
@@ -121,8 +122,8 @@ public:
 
     /// Drain support: evicts every page copy a LIVE, parting `holder` still
     /// holds (kElasticEvict handler). Sole copies are pulled home into
-    /// origin frames (want_data invalidate); shared copies get a ranged
-    /// dataless drop. Runs the full claim/scatter/commit shape, so it is
+    /// origin frames (a one-page kOwnership surrender each); shared copies
+    /// get a ranged dataless drop. Runs the full claim/scatter/commit shape, so it is
     /// safe against concurrent faults. Returns entries stripped.
     std::uint32_t evict_holder(ProcessSite& site, topo::KernelId holder);
 
@@ -183,8 +184,7 @@ private:
     /// bytes (DESIGN.md §14, three-leg faults).
     struct Forward {
         topo::KernelId holder = -1; ///< -1: the home answers the requester
-        /// kReplica / kDowngrade: kPageFetch; kOwnership: kPageInvalidate.
-        SurrenderMode mode = SurrenderMode::kReplica;
+        SurrenderMode mode = SurrenderMode::kReplica; ///< never kDrop
         std::uint64_t token = 0; ///< the pending's `surrendering` token
     };
 
@@ -198,11 +198,16 @@ private:
     /// write whose only remote victim supplies the bytes are not served
     /// here: the pending is parked flagged `surrendering`, `fwd` names the
     /// holder, and the caller hands it the answer with forward_fault.
+    /// Every copy the home asks for goes through capture_pages: its own
+    /// in place, a remote holder's as a one-page kPageSurrender whose reply
+    /// carries the bytes. Frames the home revoked are appended to `freed`
+    /// for the caller to free after its reply.
     FaultStatus origin_transaction(ProcessSite& site, mem::Vaddr page,
                                    std::uint32_t access, topo::KernelId requester,
-                                   PageFaultResp& out, Forward* fwd = nullptr);
-    /// Sends the holder `fwd` names a request carrying the requester's
-    /// ticket, and resolves the pending once it acks. Returns true when the
+                                   PageFaultResp& out, std::vector<mem::Paddr>& freed,
+                                   Forward* fwd = nullptr);
+    /// Sends the holder `fwd` names a one-page kPageSurrender carrying the
+    /// requester's ticket, and resolves the pending once it answers. Returns true when the
     /// requester got its answer from the holder; false when the holder
     /// shipped nothing (its copy was gone, it saw the requester dead, or it
     /// died first): the entry is back to its snapshot, minus a dead holder,
@@ -234,13 +239,6 @@ private:
     /// address space. Returns false if the local VMA vanished meanwhile.
     bool install_locally(ProcessSite& site, const mem::Vma& vma, mem::Vaddr page,
                          std::uint32_t access, const PageFaultResp& resp);
-
-    // Local holder ops, used both by leaf handlers (for remote requests)
-    // and directly when the origin itself is the holder.
-    bool local_fetch(ProcessSite& site, mem::Vaddr page, bool downgrade,
-                     std::byte* out);
-    bool local_invalidate(ProcessSite& site, mem::Vaddr page, bool want_data,
-                          std::byte* out, bool* data_included);
 
     // Batched local holder ops: N PTE changes share one TLB-generation bump
     // and one modeled shootdown instead of paying both per page. Return the
@@ -286,14 +284,14 @@ private:
     struct Capture {
         mem::Vaddr page = 0;
         SurrenderMode mode = SurrenderMode::kReplica;
-        std::byte* out = nullptr;
+        std::byte* out = nullptr; ///< unused by kDrop
         bool captured = false; ///< the copy was present; its bytes are in *out
-        mem::Pte revoked{};    ///< kOwnership: the cleared PTE (frame not freed)
+        mem::Pte revoked{};    ///< kOwnership / kDrop: the cleared PTE (frame not freed)
     };
     /// Captures this kernel's copies of a batch of pages under ONE mmap
-    /// write guard: ownership revokes the PTE, downgrade strips write,
-    /// replica leaves it; one generation bump, one accumulated copy charge,
-    /// one modeled shootdown.
+    /// write guard: ownership and drop revoke the PTE, downgrade strips
+    /// write, replica leaves it; one generation bump, one accumulated copy
+    /// charge (kDrop copies nothing), one modeled shootdown.
     void capture_pages(ProcessSite& site, std::span<Capture> batch);
     /// Captures `batch` (capture_pages) and pushes each captured page to
     /// `requester` as kWorksetPush (`workset`) or kPagePush, its confirm
@@ -302,10 +300,12 @@ private:
     /// copies are restored instead (a revoked PTE re-mapped over its own
     /// frame). Returns the mask of pages shipped and
     /// appends their revoked frames to `freed`, for the caller to free after
-    /// its reply. The home runs it for the pages it holds, a remote owner
-    /// for the pages it surrenders.
-    /// With `reply`, the batch is one forwarded demand fault's page and it
-    /// ships as the reply to the requester's fault RPC instead.
+    /// its reply. The home runs it for the pages it holds, a holder for the
+    /// pages it surrenders. Nothing is sent for a kDrop page, nor when the
+    /// requester is the asking `home` itself: that page's bytes land in the
+    /// `out` the caller preset, for its reply. With `reply`, the batch is
+    /// one forwarded demand fault's page and it ships as the reply to the
+    /// requester's fault RPC instead.
     std::uint32_t ship_pages(ProcessSite& site, std::span<Capture> batch,
                              topo::KernelId requester, topo::KernelId home, bool workset,
                              const std::function<void(std::size_t)>& before_send,
@@ -318,19 +318,14 @@ private:
     /// Parks until no home shard of `site` is mid census rebuild (elastic).
     void await_home_rebuilds(ProcessSite& site);
     void on_page_fault_batch(msg::Node& node, msg::MessagePtr m);
-    void on_page_fetch(msg::Node& node, msg::MessagePtr m);
-    void on_page_invalidate(msg::Node& node, msg::MessagePtr m);
-    /// Holder side of a forwarded fault: ship the page to the requester
-    /// (ship_pages with a reply-to), then ack the home dataless.
-    void answer_forwarded(msg::Node& node, const msg::Message& m, Pid pid, mem::Vaddr va,
-                          SurrenderMode mode, const FaultReplyTo& to);
     void on_page_invalidate_range(msg::Node& node, msg::MessagePtr m);
     void on_page_installed(msg::Node& node, msg::MessagePtr m);
     /// kPagePush and kWorksetPush: install the pushed page, ALWAYS confirm,
     /// and count the outcome under the wire type's hit/wasted pair.
     void on_page_push(msg::Node& node, msg::MessagePtr m);
-    /// Remote owner side of push_pages: capture, forward, reply with the
-    /// mask of pages shipped.
+    /// Holder side of every home request (PageSurrenderReq): capture, ship
+    /// each page where the request says, reply with the mask of pages
+    /// shipped (and the page itself when the asking home wants the bytes).
     void on_page_surrender(msg::Node& node, msg::MessagePtr m);
     void on_workset_pull(msg::Node& node, msg::MessagePtr m);
 

@@ -59,7 +59,7 @@ struct VmaUpdateResp {
     std::uint32_t cleared_pages;
 };
 
-// --- Page-ownership protocol (kPageFault / kPageFetch / kPageInvalidate) ---
+// --- Page-ownership protocol (kPageFault / kPageSurrender / kPageInstalled) --
 
 enum class FaultStatus : std::uint32_t { kOk = 0, kSegv, kRetry };
 
@@ -89,50 +89,14 @@ static_assert(sizeof(PageFaultResp) == 8 + mem::kPageSize,
 
 /// Where a holder sends the bytes of a forwarded demand fault (DESIGN.md
 /// §14, three-leg faults): straight to the requester, as the reply to the
-/// kPageFault or kPageFaultBatch RPC it posted to the home. Trails the
-/// holder requests below and travels only on forwarded ones (wire_bytes),
-/// so every request the home answers itself keeps its wire size.
+/// kPageFault or kPageFaultBatch RPC it posted to the home. Rides in every
+/// PageSurrenderReq; a zero ticket means the request is not a forwarded
+/// fault.
 struct FaultReplyTo {
     std::uint64_t ticket;        ///< the requester's RPC ticket (nonzero)
     std::uint32_t extra_granted; ///< batch replies: PageFaultBatchResp::extra_granted
     std::uint8_t requester;
     std::uint8_t batch;          ///< reply as kPageFaultBatch, else kPageFault
-};
-
-/// Home -> holder: copy the page, downgrading an Exclusive holder when
-/// asked. Forwarded (`reply_to` carried), the holder ships the copy to the
-/// requester and acks the home with a dataless PageForwardAck.
-struct PageFetchReq {
-    Pid pid;
-    mem::Vaddr va;
-    bool downgrade; ///< holder drops write permission (Exclusive -> Shared)
-    FaultReplyTo reply_to;
-};
-
-struct PageFetchResp {
-    bool ok;
-    std::array<std::byte, mem::kPageSize> data;
-};
-
-/// Home -> holder: drop the copy, returning its bytes when asked.
-/// Forwarded, the holder revokes its copy and ships the bytes to the
-/// requester instead (always with data: only the byte source forwards).
-struct PageInvalidateReq {
-    Pid pid;
-    mem::Vaddr va;
-    bool want_data; ///< holder must return its (possibly dirty) bytes
-    FaultReplyTo reply_to;
-};
-
-/// Holder -> home: the answer to a forwarded kPageFetch / kPageInvalidate.
-struct PageForwardAck {
-    bool shipped; ///< the requester was sent the page; the holder's copy changed
-};
-
-struct PageInvalidateResp {
-    bool had_page;
-    bool data_included;
-    std::array<std::byte, mem::kPageSize> data;
 };
 
 /// Third leg of a remote fault: the requester confirms (or abandons) its
@@ -223,27 +187,34 @@ struct PagePushMsg {
 };
 static_assert(offsetof(PagePushMsg, data) == 19, "push wire size must not change");
 
-/// What a remote owner does with each page of a kPageSurrender: the
-/// transitions the requester's own faults would make (DESIGN.md §15).
+/// What a holder does with each page of a kPageSurrender: the four ways
+/// a home asks for a copy (DESIGN.md §14, §15).
 enum class SurrenderMode : std::uint8_t {
     kReplica = 0,   ///< Shared copy: ship the bytes, keep the copy
-    kDowngrade = 1, ///< Exclusive, replica push: strip write, keep the copy
-    kOwnership = 2, ///< Exclusive, ownership push: revoke the copy, ship it
+    kDowngrade = 1, ///< Exclusive, read: strip write, ship the bytes, keep the copy
+    kOwnership = 2, ///< revoke the copy and ship its bytes
+    kDrop = 3,      ///< revoke the copy and ship nothing (a write's other victims)
 };
 
-/// Home -> remote owner (kPageSurrender, leaf): the home claimed these
-/// pages for `requester` and parked their pending states. The owner
-/// captures the whole batch under one mmap write guard (one generation
-/// bump, one shootdown), pushes each page straight to the requester as a
-/// one-page kWorksetPush (`workset`) or kPagePush, and replies with the
-/// pages it shipped. An owner that finds the requester dead keeps its
-/// copies and ships nothing. Truncated on the wire to the VPNs carried.
+/// Home -> holder (kPageSurrender, leaf): the one per-page request a home
+/// sends a holder. The home claimed these pages for `requester` and parked
+/// their pending states. The holder captures the whole batch under one
+/// mmap write guard (one generation bump, one shootdown) and ships each
+/// page to where its bytes are wanted:
+///   - requester == the sending home (one page): back in the reply;
+///   - reply_to.ticket set (one page): as the requester's fault reply, a
+///     forwarded demand fault (DESIGN.md §14);
+///   - otherwise as a one-page kWorksetPush (`workset`) or kPagePush.
+/// It replies with the pages it shipped (a kDrop page "ships" when its copy
+/// was present and is gone). A holder that finds the requester dead keeps
+/// its copies and ships nothing. Truncated on the wire to the VPNs carried.
 struct PageSurrenderReq {
     static constexpr std::uint32_t kMaxPages = 32;
     Pid pid;
     topo::KernelId requester;
     std::uint32_t workset; ///< nonzero: ship as kWorksetPush, else kPagePush
     std::uint32_t count;
+    FaultReplyTo reply_to;
     std::array<SurrenderMode, kMaxPages> mode;
     std::array<std::uint64_t, kMaxPages> vpn;
 };
@@ -253,8 +224,11 @@ inline std::size_t wire_bytes(const PageSurrenderReq& r) {
            static_cast<std::size_t>(r.count) * sizeof(std::uint64_t);
 }
 
+/// The page sits last so a reply without bytes truncates to its flags.
 struct PageSurrenderResp {
-    std::uint32_t shipped; ///< bit i: vpn[i] was pushed to the requester
+    std::uint32_t shipped; ///< bit i: vpn[i] was shipped
+    bool data_included;    ///< `data` holds the page (the asking home wanted it)
+    std::array<std::byte, mem::kPageSize> data;
 };
 static_assert(PageSurrenderReq::kMaxPages <= 32, "shipped is a 32-bit mask");
 
@@ -268,29 +242,13 @@ static_assert(PageSurrenderReq::kMaxPages <= 32, "shipped is a 32-bit mask");
 
 static_assert(offsetof(PageFaultResp, data) == 8,
               "dataless PageFaultResp wire size");
-static_assert(offsetof(PageFetchResp, data) == 1,
-              "dataless PageFetchResp wire size");
-static_assert(offsetof(PageInvalidateResp, data) == 2,
-              "dataless PageInvalidateResp wire size");
-
 inline std::size_t wire_bytes(const PageFaultResp& r) {
     return offsetof(PageFaultResp, data) + (r.data_included ? mem::kPageSize : 0);
 }
-// A holder request carries its reply-to only when the home forwards.
-inline std::size_t wire_bytes(const PageFetchReq& r) {
-    return r.reply_to.ticket != 0 ? sizeof(r) : offsetof(PageFetchReq, reply_to);
-}
-inline std::size_t wire_bytes(const PageInvalidateReq& r) {
-    return r.reply_to.ticket != 0 ? sizeof(r) : offsetof(PageInvalidateReq, reply_to);
-}
-static_assert(offsetof(PageFetchReq, reply_to) == 24 &&
-                  offsetof(PageInvalidateReq, reply_to) == 24,
-              "unforwarded holder requests keep their pre-forwarding wire size");
-inline std::size_t wire_bytes(const PageFetchResp& r) {
-    return offsetof(PageFetchResp, data) + (r.ok ? mem::kPageSize : 0);
-}
-inline std::size_t wire_bytes(const PageInvalidateResp& r) {
-    return offsetof(PageInvalidateResp, data) + (r.data_included ? mem::kPageSize : 0);
+static_assert(offsetof(PageSurrenderResp, data) == 5,
+              "dataless PageSurrenderResp wire size");
+inline std::size_t wire_bytes(const PageSurrenderResp& r) {
+    return offsetof(PageSurrenderResp, data) + (r.data_included ? mem::kPageSize : 0);
 }
 /// Every push carries its page; only the struct's tail padding is not sent.
 inline std::size_t wire_bytes(const PagePushMsg&) {

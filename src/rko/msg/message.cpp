@@ -16,8 +16,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kVmaFetch: return "vma_fetch";
     case MsgType::kVmaUpdate: return "vma_update";
     case MsgType::kPageFault: return "page_fault";
-    case MsgType::kPageFetch: return "page_fetch";
-    case MsgType::kPageInvalidate: return "page_invalidate";
     case MsgType::kPageInstalled: return "page_installed";
     case MsgType::kFutexWait: return "futex_wait";
     case MsgType::kFutexWake: return "futex_wake";

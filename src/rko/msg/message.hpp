@@ -37,8 +37,6 @@ enum class MsgType : std::uint16_t {
     kVmaUpdate,         ///< apply a VMA change to a replica (nb)
     // Address space: page-ownership layer (core/page_owner)
     kPageFault,         ///< remote fault: request access from directory (blk)
-    kPageFetch,         ///< directory -> owner: send current bytes (nb)
-    kPageInvalidate,    ///< directory -> holder: drop your copy (nb)
     kPageInstalled,     ///< requester -> directory: install done, commit (nb)
     // Distributed futex (core/dfutex)
     kFutexWait,         ///< queue a waiter at the origin futex table (blk)
@@ -64,7 +62,7 @@ enum class MsgType : std::uint16_t {
     // Working-set migration (core/migration + core/page_owner, §15)
     kWorksetPull,       ///< migrated thread -> home: push my shipped hot pages (blk)
     kWorksetPush,       ///< home or owner -> destination: one pre-copied page (leaf)
-    kPageSurrender,     ///< home -> remote owner: capture a batch, push it on (leaf)
+    kPageSurrender,     ///< home -> holder: share/downgrade/revoke/drop pages (leaf)
     kCount
 };
 

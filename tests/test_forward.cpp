@@ -2,11 +2,14 @@
 // a remote requester needs bytes from exactly one other kernel — a read of
 // a page held elsewhere, or a write whose only remote victim holds the
 // bytes — that kernel answers the requester's fault RPC itself and acks
-// the home dataless. These tests pin which faults forward, that the page
-// crosses the fabric once, that unforwarded holder requests keep their
-// wire size, and that a kill of the holder or the requester anywhere in
-// the forwarded leg leaves exactly one answer per ticket, no leaked busy
-// bit or pending install, and a clean invariant audit.
+// the home dataless. Every request a home sends a holder is one
+// kPageSurrender. These tests pin which faults forward, that the page
+// crosses the fabric once, the surrender's wire sizes, and that a kill of
+// the holder or the requester anywhere in the forwarded leg leaves exactly
+// one answer per ticket, no leaked busy bit or pending install, and a
+// clean invariant audit; and that a requester whose node learns of its
+// home's death before its home map does waits for the map instead of
+// spinning its fault.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,15 +88,23 @@ bool maps(Machine& machine, topo::KernelId k, Pid pid, Vaddr va) {
     return pte != nullptr && pte->present;
 }
 
-TEST(ThreeLegFault, UnforwardedHolderRequestsKeepTheirWireSize) {
-    core::PageFetchReq fetch{7, 0x1000, true, {}};
-    core::PageInvalidateReq inval{7, 0x1000, true, {}};
-    EXPECT_EQ(core::wire_bytes(fetch), 24u);
-    EXPECT_EQ(core::wire_bytes(inval), 24u);
-    fetch.reply_to.ticket = 9;
-    inval.reply_to.ticket = 9;
-    EXPECT_EQ(core::wire_bytes(fetch), sizeof(core::PageFetchReq));
-    EXPECT_EQ(core::wire_bytes(inval), sizeof(core::PageInvalidateReq));
+// A one-page surrender carries its reply-to in the fixed head, so a
+// forwarded one costs what any other does; the reply carries a page only
+// when the asking home wants the bytes.
+TEST(ThreeLegFault, OnePageSurrenderWireSize) {
+    core::PageSurrenderReq req{};
+    req.count = 1;
+    EXPECT_EQ(core::wire_bytes(req), 80u);
+    req.reply_to.ticket = 9;
+    EXPECT_EQ(core::wire_bytes(req), 80u);
+    req.count = 3;
+    EXPECT_EQ(core::wire_bytes(req), 80u + 2 * sizeof(std::uint64_t));
+
+    core::PageSurrenderResp resp{};
+    resp.shipped = 1;
+    EXPECT_EQ(core::wire_bytes(resp), 5u);
+    resp.data_included = true;
+    EXPECT_EQ(core::wire_bytes(resp), 5u + kPageSize);
 }
 
 /// `owners` dirty one page each in turn (the last one ends up holding it
@@ -105,6 +116,7 @@ struct FaultRun {
     std::uint64_t holder_to_home = 0;
     std::uint64_t holder_to_requester = 0;
     std::uint64_t home_to_requester = 0;
+    std::uint64_t total = 0; ///< every channel
 };
 
 FaultRun run_fault(Machine& machine, api::Process& process,
@@ -133,6 +145,7 @@ FaultRun run_fault(Machine& machine, api::Process& process,
     const std::uint64_t h0 = bytes(kHolder, kHome);
     const std::uint64_t hr = bytes(kHolder, kRequester);
     const std::uint64_t r0 = bytes(kHome, kRequester);
+    const std::uint64_t t0 = machine.total_message_bytes();
     process.spawn(
         [&](Guest& g) {
             if (write) g.write<std::uint64_t>(page + 8, 1);
@@ -144,6 +157,7 @@ FaultRun run_fault(Machine& machine, api::Process& process,
     r.holder_to_home = bytes(kHolder, kHome) - h0;
     r.holder_to_requester = bytes(kHolder, kRequester) - hr;
     r.home_to_requester = bytes(kHome, kRequester) - r0;
+    r.total = machine.total_message_bytes() - t0;
     return r;
 }
 
@@ -202,14 +216,39 @@ TEST(ThreeLegFault, MultiVictimWriteKeepsTheHomePath) {
     expect_directory_idle(machine, process.pid(), 0);
 }
 
-// The home itself faulting: its bytes land at the home anyway.
+// Three sharers, one of them the home, and a fourth kernel writes: the
+// home's own copy is the byte source and both remote sharers drop theirs
+// (kDrop, dataless answers), so exactly one page crosses the fabric.
+TEST(ThreeLegFault, ThreeSharerWriteDropsTheVictimsAndMovesOnePage) {
+    Machine machine(forward_config());
+    auto& process = machine.create_process(kHome);
+    const FaultRun r = run_fault(machine, process,
+                                 {{kHolder, true}, {kHome, false}, {3, false}},
+                                 kRequester, true);
+    EXPECT_EQ(r.value, kValue);
+    EXPECT_GE(r.home_to_requester, kPageSize);
+    EXPECT_LT(r.holder_to_home, kPageSize);
+    EXPECT_LT(r.holder_to_requester, kPageSize);
+    EXPECT_LT(r.total, 2 * kPageSize) << "a second page crossed the fabric";
+    for (const topo::KernelId k : {kHome, kHolder, topo::KernelId{3}}) {
+        EXPECT_FALSE(maps(machine, k, process.pid(), r.page)) << "k" << k;
+    }
+    expect_directory_idle(machine, process.pid(), 0);
+    expect_frames_balanced(machine, process.pid(), 0);
+}
+
+// The home itself faulting: its bytes land at the home anyway, in the
+// reply to the one kPageSurrender it sends the Exclusive owner.
 TEST(ThreeLegFault, HomeLocalRequesterKeepsTheFetch) {
     Machine machine(forward_config());
     auto& process = machine.create_process(kHome);
     const FaultRun r = run_fault(machine, process, {{kHolder, true}}, kHome, false);
     EXPECT_EQ(r.value, kValue);
     EXPECT_EQ(machine.kernel(kHolder).pages().forwarded(), 0u);
+    EXPECT_EQ(machine.kernel(kHolder).node().dispatched(msg::MsgType::kPageSurrender), 1u);
     EXPECT_GE(r.holder_to_home, kPageSize);
+    EXPECT_LT(r.holder_to_home, 2 * kPageSize);
+    EXPECT_TRUE(maps(machine, kHolder, process.pid(), r.page)); // downgraded, kept
     expect_directory_idle(machine, process.pid(), 0);
 }
 
@@ -254,8 +293,7 @@ KillRun run_kill(bool write, topo::KernelId victim, Nanos kill_at,
     process.spawn([&](Guest& g) { a = g.mmap(2 * kPageSize); }, kHome);
     machine.run();
     const Vaddr b = a + kPageSize;
-    const msg::MsgType leg =
-        write ? msg::MsgType::kPageInvalidate : msg::MsgType::kPageFetch;
+    constexpr msg::MsgType leg = msg::MsgType::kPageSurrender;
     msg::Node& home = machine.kernel(kHome).node();
     msg::Node& holder = machine.kernel(kHolder).node();
     core::PageOwner& holder_pages = machine.kernel(kHolder).pages();
@@ -378,6 +416,64 @@ TEST(ThreeLegFault, RequesterKillAfterTheForwardLeavesNoPending) {
         EXPECT_GT(kept, 0) << "write=" << write;
         EXPECT_GT(shipped, 0) << "write=" << write;
     }
+}
+
+// --- A home death the requester's node learns of first ----------------------
+
+// At 4 home shards, the home of a page dies and the requester's node is
+// told at once (as a kill sweep does), while its home map still names the
+// corpse until the lease expires. The requester's fault must wait for the
+// map to re-home the shard, then complete; refaulting at once would burn
+// every MMU retry against the dead home.
+TEST(ThreeLegFault, FaultWaitsForTheHomeMapAfterANodeLevelDeath) {
+    MachineConfig config = kill_config();
+    config.home_shards = 4;
+    // A lease long enough for 64 immediate refaults to run out first.
+    config.elastic.lease_misses = 16;
+    Machine machine(config);
+    auto& process = machine.create_process(kHome);
+    constexpr int kPages = 16;
+    Vaddr buf = 0;
+    process.spawn([&](Guest& g) { buf = g.mmap(kPages * kPageSize); }, kHome);
+    machine.run();
+    // A page homed neither at the immortal origin nor at the requester.
+    core::ProcessSite& origin_site = machine.kernel(kHome).site(process.pid());
+    Vaddr page = 0;
+    topo::KernelId home = -1;
+    for (int p = 0; p < kPages && home < 0; ++p) {
+        const Vaddr va = buf + static_cast<Vaddr>(p) * kPageSize;
+        const topo::KernelId h = machine.kernel(kHome).pages().home_of(origin_site, va);
+        if (h != kHome && h != kRequester) {
+            page = va;
+            home = h;
+        }
+    }
+    ASSERT_GE(home, 0) << "no page of the region is homed off the origin and requester";
+
+    process.spawn([](Guest& g) { g.compute(2_ms); }, kHome);
+    for (const topo::KernelId k : {kHolder, topo::KernelId{3}}) {
+        process.spawn([](Guest& g) { g.compute(60_us); }, k);
+    }
+    std::uint64_t value = 1;
+    Nanos fault_end = 0;
+    process.spawn(
+        [&](Guest& g) {
+            g.compute(100_us);
+            value = g.read<std::uint64_t>(page);
+            g.flush_timing();
+            fault_end = g.now();
+        },
+        kRequester);
+    machine.run_until(95_us);
+    machine.kill_kernel(home);
+    machine.kernel(kRequester).node().set_peer_dead(home);
+    machine.run();
+    process.check_all_joined();
+    EXPECT_EQ(value, 0u); // never written: the new home zero-fills
+    EXPECT_GT(fault_end, 100_us);
+    EXPECT_NE(machine.kernel(kRequester).pages().home_of(
+                  machine.kernel(kRequester).site(process.pid()), page),
+              home);
 }
 
 } // namespace

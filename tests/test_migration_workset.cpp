@@ -782,7 +782,7 @@ TEST(WorksetMigration, SurrenderClipsWireSuppliedCount) {
             req.vpn[2] = mem::vpn_of(buf); // not carried
             const auto reply = machine.kernel(0).node().rpc(
                 kOwner, two_vpn_message(msg::MsgType::kPageSurrender, req));
-            shipped = reply->payload_as<core::PageSurrenderResp>().shipped;
+            shipped = reply->payload_prefix_as<core::PageSurrenderResp>().shipped;
             for (int p = 0; p < kPages; ++p) {
                 kept[static_cast<std::size_t>(p)] =
                     pte_at(machine, kOwner, pid, buf + static_cast<Vaddr>(p) * kPageSize) !=

@@ -59,25 +59,21 @@ TEST(WireSize, DatalessRepliesTruncate) {
     fault.data_included = true;
     EXPECT_EQ(core::wire_bytes(fault), 8u + kPageSize);
 
-    core::PageFetchResp fetch{};
-    fetch.ok = false;
-    EXPECT_EQ(core::wire_bytes(fetch), 1u);
-    fetch.ok = true;
-    EXPECT_EQ(core::wire_bytes(fetch), 1u + kPageSize);
-
-    core::PageInvalidateResp inval{};
-    inval.data_included = false;
-    EXPECT_EQ(core::wire_bytes(inval), 2u);
-    inval.data_included = true;
-    EXPECT_EQ(core::wire_bytes(inval), 2u + kPageSize);
+    // A holder's answer carries a page only when the asking home wants it.
+    core::PageSurrenderResp surrender{};
+    surrender.shipped = 1;
+    EXPECT_EQ(core::wire_bytes(surrender), 5u);
+    surrender.data_included = true;
+    EXPECT_EQ(core::wire_bytes(surrender), 5u + kPageSize);
 
     // A truncated message's payload_size is the wire size, and the prefix
     // view still reads the leading fields.
     msg::MessagePtr m = msg::make_message_prefix(
-        msg::MsgType::kPageInvalidate, msg::MsgKind::kReply, inval,
-        core::wire_bytes(core::PageInvalidateResp{}));
-    EXPECT_EQ(m->hdr.payload_size, 2u);
-    EXPECT_EQ(m->wire_size(), sizeof(msg::MessageHeader) + 2u);
+        msg::MsgType::kPageSurrender, msg::MsgKind::kReply, surrender,
+        core::wire_bytes(core::PageSurrenderResp{}));
+    EXPECT_EQ(m->hdr.payload_size, 5u);
+    EXPECT_EQ(m->wire_size(), sizeof(msg::MessageHeader) + 5u);
+    EXPECT_EQ(m->payload_prefix_as<core::PageSurrenderResp>().shipped, 1u);
 }
 
 TEST(WireSize, RangedRequestScalesWithCount) {
@@ -152,19 +148,19 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
             },
             static_cast<topo::KernelId>(k)));
     }
-    // Snapshot per-page invalidate counts right before the munmap so the
+    // Snapshot per-page holder request counts right before the munmap so the
     // revoke's own traffic is isolated from unrelated exchanges (thread
     // exit/join futexes also move pages around).
-    std::array<std::uint64_t, 4> inval_before{};
+    std::array<std::uint64_t, 4> requests_before{};
     process.spawn(
         [&](Guest& g) {
             g.join(init);
             for (Thread* r : readers) g.join(*r);
             for (int k = 0; k < 4; ++k) {
-                inval_before[static_cast<std::size_t>(k)] =
+                requests_before[static_cast<std::size_t>(k)] =
                     machine.kernel(static_cast<topo::KernelId>(k))
                         .node()
-                        .dispatched(msg::MsgType::kPageInvalidate);
+                        .dispatched(msg::MsgType::kPageSurrender);
             }
             g.munmap(buf, kPages * kPageSize);
         },
@@ -173,7 +169,7 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
     process.check_all_joined();
 
     // One ranged RPC per remote holder; the revoke added zero per-page
-    // invalidates (it used to send kPages x holders of them).
+    // holder requests (it used to send kPages x holders of them).
     for (int k = 1; k < 4; ++k) {
         EXPECT_EQ(machine.kernel(static_cast<topo::KernelId>(k))
                       .node()
@@ -182,8 +178,8 @@ TEST(RangedRevoke, ObservationallyEquivalentToPerPage) {
             << "kernel " << k;
         EXPECT_EQ(machine.kernel(static_cast<topo::KernelId>(k))
                       .node()
-                      .dispatched(msg::MsgType::kPageInvalidate),
-                  inval_before[static_cast<std::size_t>(k)])
+                      .dispatched(msg::MsgType::kPageSurrender),
+                  requests_before[static_cast<std::size_t>(k)])
             << "kernel " << k;
     }
     EXPECT_EQ(machine.kernel(0).pages().range_rpcs(), 3u);
@@ -629,6 +625,7 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
         },
         2);
     std::uint64_t batches = 0, scatters = 0, posts = 0, fetches = 0, surrenders = 0;
+    std::uint64_t forwarded = 0;
     process.spawn(
         [&](Guest& g) {
             g.join(writer);
@@ -638,6 +635,7 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
             const std::uint64_t fetches0 = machine.kernel(0).pages().fetches();
             const std::uint64_t surrenders0 =
                 machine.kernel(2).node().dispatched(msg::MsgType::kPageSurrender);
+            const std::uint64_t forwarded0 = machine.kernel(2).pages().forwarded();
             for (int i = 0; i < kPages; ++i) {
                 EXPECT_EQ(g.read<std::uint64_t>(buf + static_cast<Vaddr>(i) * kPageSize),
                           0x900u + static_cast<std::uint64_t>(i))
@@ -654,6 +652,7 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
             surrenders =
                 machine.kernel(2).node().dispatched(msg::MsgType::kPageSurrender) -
                 surrenders0;
+            forwarded = machine.kernel(2).pages().forwarded() - forwarded0;
         },
         1);
     machine.run();
@@ -664,11 +663,13 @@ TEST(Prefetch, RemoteSourcesFetchInOneScatter) {
     ASSERT_GT(issued, 0u);
     EXPECT_EQ(machine.kernel(1).pages().prefetch_hit(), issued);
     // One scatter per serviced batch, carrying one surrender for the
-    // window's one source. Fetches are still counted per page: each page is
-    // either a demand fault's own fetch or a pushed page of a surrender.
+    // window's one source. Every other surrender k2 got is a demand fault
+    // it answered itself (one page each). Fetches are still counted per
+    // page: each page is either a demand fault's own fetch or a pushed page
+    // of a surrender.
     EXPECT_EQ(scatters, batches);
     EXPECT_EQ(posts, batches);
-    EXPECT_EQ(surrenders, batches);
+    EXPECT_EQ(surrenders, batches + forwarded);
     EXPECT_EQ(fetches, static_cast<std::uint64_t>(kPages));
     // The bytes travel once, source -> reader: every push comes from k2.
     EXPECT_EQ(machine.kernel(1).node().dispatched(msg::MsgType::kPagePush), issued);

@@ -5,7 +5,8 @@
 #   1. tier-1:   plain build + ctest (the correctness floor)
 #   2. checked:  the same ctest suite with RKO_CHECK=1, arming every gated
 #                inline protocol assertion (busy-bit audits, waiter dedup,
-#                post-revoke sweeps) — keeps the soak/invariant results of
+#                post-revoke sweeps, no modeled cost under an mmap write
+#                hold) — keeps the soak/invariant results of
 #                later stages trustworthy — then once more with 4-way
 #                sharded homes (RKO_HOME_SHARDS=4)
 #   3. race:     the suite again with RKO_RACE=1 RKO_CHECK=1 (lockset /

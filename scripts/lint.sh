@@ -5,7 +5,8 @@
 #      the stage instead of silently passing everything.
 #   2. scripts/lint_rko.py — project-specific determinism/idiom rules
 #      (host threading, wall clock, raw RNG, raw assert, SpinLock across
-#      await, unnamed guards). Always runs; pure python3.
+#      await, unnamed guards, local RwLock guards). Always runs; pure
+#      python3.
 #   3. clang-tidy — only when installed (it is optional tooling, not a
 #      build dependency). Uses the compile database from build/ if present.
 # Exit status is non-zero when any stage reports findings.

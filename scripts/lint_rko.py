@@ -23,9 +23,19 @@ a few idiom rules:
                    Brace-depth aware: an .unlock() inside a conditional
                    block only releases on that branch — the fall-through
                    path is still holding, and an await there is flagged.
-  unnamed-guard    a guard temporary — sim::LockGuard(l); / ReadGuard(l);
-                   — unlocks at the semicolon, leaving the "critical
-                   section" unprotected; name the guard
+  unnamed-guard    a guard temporary — sim::LockGuard(l); /
+                   mem::MmapWriteGuard(space); — unlocks at the semicolon,
+                   leaving the "critical section" unprotected; name the
+                   guard
+  local-guard      a struct/class outside src/rko/sim/ and
+                   src/rko/mem/addrspace.hpp that keeps a sim::RwLock
+                   reference or pointer member, or calls lock_shared( in
+                   its body: a home-grown RAII guard. The mmap lock's
+                   guards are mem::MmapReadGuard / mem::MmapWriteGuard,
+                   whose write side asserts under RKO_CHECK that no
+                   modeled cost is charged under the hold; a copy would
+                   silently drop that check. Other RwLocks use
+                   sim::LockGuard / sim::SharedLockGuard
   serial-fanout    a .rpc(/.rpc_all( inside a loop over a holder mask, or
                    over a page-push list (PushPage entries, `work`,
                    `grants`, `pushes`), in src/rko/core/ — per-victim or
@@ -133,7 +143,15 @@ HOME_FORK = [
 # and requires the ');' tail so declarations (`explicit LockGuard(Lock&)`,
 # `LockGuard(const LockGuard&) = delete;`, `~LockGuard()`) never match.
 UNNAMED_GUARD = re.compile(
-    r"^\s*(?:sim::)?(?:Lock|Read|Write)Guard(?:<[^>]*>)?\s*\([^)]*\)\s*;")
+    r"^\s*(?:\w+::)*(?:Lock|Read|Write|SharedLock|MmapRead|MmapWrite)Guard"
+    r"(?:<[^>]*>)?\s*\((?:[^()]|\([^()]*\))*\)\s*;")
+
+# A class/struct definition head (not a forward declaration, not an enum
+# class) and, inside its body, the two marks of an RAII guard over an
+# RwLock: a reference/pointer data member, or a lock_shared( call.
+CLASS_HEAD = re.compile(r"(?<!enum\s)\b(?:struct|class)\s+(?:\[\[[^\]]*\]\]\s*)?(\w+)")
+RWLOCK_MEMBER = re.compile(r"\bRwLock\s*[&*]\s*\w+\s*;")
+LOCK_SHARED_CALL = re.compile(r"\block_shared\s*\(")
 
 # Tokens that suspend the calling actor (awaits). A SpinLock held across
 # any of these deadlocks or interleaves the protocol mid-critical-section.
@@ -182,6 +200,48 @@ def in_home_layer(path):
 
 def in_core_layer(path):
     return f"src{os.sep}rko{os.sep}core{os.sep}" in path
+
+
+def may_define_rwlock_guards(path):
+    # The sim layer owns the generic guards; addrspace.hpp owns the mmap
+    # lock's pair.
+    return in_sim_layer(path) or path.endswith(
+        os.path.join("rko", "mem", "addrspace.hpp"))
+
+
+def lint_local_guards(path, stripped, findings):
+    """Flags class/struct bodies that wrap a sim::RwLock (local-guard)."""
+    if may_define_rwlock_guards(path):
+        return
+    depth = 0
+    pending = None   # (name, line) of a class head whose body has not opened
+    classes = []     # [body depth, name, head line, reported]
+    for lineno, (code, comment) in enumerate(stripped, 1):
+        allowance, _ = parse_allow(comment)
+        m = CLASS_HEAD.search(code)
+        if m and ";" not in code[m.end():].split("{")[0]:
+            pending = (m.group(1), lineno)
+        if classes and allowance != "local-guard" and not classes[-1][3] and (
+                RWLOCK_MEMBER.search(code) or LOCK_SHARED_CALL.search(code)):
+            _, name, head_line, _ = classes[-1]
+            classes[-1][3] = True
+            findings.append((path, lineno, "local-guard",
+                             f"'{name}' (line {head_line}) wraps a sim::RwLock: "
+                             f"use mem::MmapReadGuard / mem::MmapWriteGuard "
+                             f"for the mmap lock, sim::LockGuard / "
+                             f"sim::SharedLockGuard for others"))
+        for ch in code:
+            if ch == "{":
+                depth += 1
+                if pending is not None:
+                    classes.append([depth, pending[0], pending[1], False])
+                    pending = None
+            elif ch == "}":
+                depth -= 1
+                while classes and classes[-1][0] > depth:
+                    classes.pop()
+        if ";" in code and "{" not in code:
+            pending = None  # a forward declaration or a member of that type
 
 
 def strip_lines(lines):
@@ -290,6 +350,7 @@ def applicable_rules(path):
 def lint_lines(path, lines, findings, warnings):
     rules = applicable_rules(path)
     stripped = strip_lines(lines)
+    lint_local_guards(path, stripped, findings)
     # lock-across-await state, brace-depth aware: `held` maps a lock
     # expression to (acquire line, acquire depth). An unlock at a deeper
     # depth than its acquire is conditional — it releases only on that
@@ -460,9 +521,61 @@ SELF_TEST_CASES = [
          sim::LockGuard(lock_);
          ReadGuard(op_lock);
          WriteGuard<sim::RwLock>(op_lock);
+         mem::MmapWriteGuard(site.space());
+         mem::MmapReadGuard guard(site.space());
      }
      """,
-     ["unnamed-guard", "unnamed-guard", "unnamed-guard"]),
+     ["local-guard", "unnamed-guard", "unnamed-guard", "unnamed-guard",
+      "unnamed-guard"]),
+    ("local RwLock guard structs flagged outside sim/ and addrspace.hpp",
+     "src/rko/core/u.cpp",
+     """namespace {
+     struct ReadGuard {
+         explicit ReadGuard(sim::RwLock& l) : lock(l) { lock.lock_shared(); }
+         ~ReadGuard() { lock.unlock_shared(); }
+         sim::RwLock& lock;
+     };
+     struct WriteGuard {
+         explicit WriteGuard(sim::RwLock& l) : lock(l) { lock.lock(); }
+         ~WriteGuard() { lock.unlock(); }
+         sim::RwLock& lock;
+     };
+     class [[nodiscard]] Holder {
+     public:
+         explicit Holder(sim::RwLock* l) : l_(l) { l_->lock(); }
+     private:
+         sim::RwLock* l_;
+     };
+     } // namespace
+     """,
+     ["local-guard", "local-guard", "local-guard"]),
+    ("RwLock owners, accessors and guard users are clean",
+     "src/rko/core/v.hpp",
+     """class Kernel;
+     enum class Mode { kRead, kWrite };
+     struct DirShard {
+         sim::SpinLock lock;
+         sim::RwLock op_lock;
+         sim::RwLock& vma_op_lock() { return op_lock; }
+     };
+     void f(mem::AddressSpace& space, sim::RwLock& op) {
+         mem::MmapReadGuard guard(space);
+         sim::SharedLockGuard op_guard(op);
+     }
+     """,
+     []),
+    ("the sim layer and addrspace.hpp define the RwLock guards",
+     "src/rko/mem/addrspace.hpp",
+     """class [[nodiscard]] MmapReadGuard {
+     public:
+         explicit MmapReadGuard(AddressSpace& s) : lock_(s.mmap_lock()) {
+             lock_.lock_shared();
+         }
+     private:
+         sim::RwLock& lock_;
+     };
+     """,
+     []),
     ("conditional unlock does not release the fall-through path",
      "src/rko/core/f.cpp",
      """void f() {

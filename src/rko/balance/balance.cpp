@@ -306,8 +306,8 @@ void Balancer::decide_affinity_hints() {
         if (t.balance_target >= 0) return; // hint already pending
         if (!may_move(t)) return;
         // Owner-affinity first (DESIGN.md §13): a thread that recently
-        // slept on a gossiped hot word chases the grant-holder kernel, so
-        // cross-kernel lock handoffs become local ones.
+        // slept on or woke a gossiped hot word chases the grant-holder
+        // kernel, so cross-kernel lock handoffs become local ones.
         if (t.last_futex_word != 0) {
             const topo::KernelId owner = k_.ssi().hot_word_owner(
                 t.pid, t.last_futex_word, k_.engine().now());
@@ -319,13 +319,14 @@ void Balancer::decide_affinity_hints() {
                 // Re-home a parked contender immediately instead of waiting
                 // for an organic grant to reach it (which, under a healthy
                 // handoff chain, only happens on budget-expiry rotations):
-                // withdraw its convoy entry and wake it spuriously — legal
-                // under the futex contract — so the post-wait checkpoint
-                // migrates it and it re-parks on the owner's convoy. Same
-                // dance as elastic drain. If the entry is already gone a
-                // grant selected it and the wake is on its way.
-                if (futex_sleeper &&
-                    k_.futex().cancel_local(t.pid, t.tid, t.origin)) {
+                // withdraw its queue entry — the convoy's, or the origin
+                // table's for a contender parked at its origin — and wake
+                // it spuriously (legal under the futex contract), so the
+                // post-wait checkpoint migrates it and it re-parks on the
+                // owner's convoy. Same dance as elastic drain. If the entry
+                // is already gone a grant selected it and the wake is on
+                // its way.
+                if (futex_sleeper && k_.futex().cancel_wait(t)) {
                     k_.sched().wake(t);
                 }
                 if (trace::Tracer* tr = trace::active(k_.engine())) {

@@ -503,6 +503,50 @@ ScenarioResult run_prefetch_race(const ExploreConfig& cfg) {
     return finish(machine);
 }
 
+/// Three kernels read-fault pages the origin holds while the origin unmaps
+/// the region. A 20 us page copy stretches each requester's frame fill,
+/// which runs outside the mmap write lock, so on many seeds (the seed picks
+/// the munmap time) the replica update lands between a fill and its map:
+/// the install maps into the dead range, and the revoke sweep — which
+/// waits out the page's busy bit until the install confirms — must drop
+/// it. Readers may legally segfault, so final content is schedule-
+/// dependent; the audits (no PTE outside the holder sets, no lock held)
+/// and per-seed replay are asserted.
+ScenarioResult run_munmap_mid_install(const ExploreConfig& cfg) {
+    constexpr int kReaders = 3;
+    MachineConfig mc = base_config(cfg);
+    mc.costs.page_copy = 20_us;
+    Machine machine(mc);
+    auto& process = machine.create_process(0);
+    Vaddr buf = 0;
+    auto& init = process.spawn(
+        [&](Guest& g) {
+            buf = g.mmap(kReaders * kPageSize);
+            for (int p = 0; p < kReaders; ++p) {
+                g.write<std::uint64_t>(buf + static_cast<Vaddr>(p) * kPageSize,
+                                       static_cast<std::uint64_t>(0x300 + p));
+            }
+        },
+        0);
+    for (int r = 0; r < kReaders; ++r) {
+        process.spawn(
+            [&, r](Guest& g) {
+                g.join(init);
+                (void)g.read<std::uint64_t>(buf + static_cast<Vaddr>(r) * kPageSize);
+            },
+            static_cast<topo::KernelId>(1 + r));
+    }
+    process.spawn(
+        [&](Guest& g) {
+            g.join(init);
+            g.compute(static_cast<Nanos>(cfg.seed % 16) * 5_us);
+            g.munmap(buf, kReaders * kPageSize);
+        },
+        0);
+    machine.run();
+    return finish(machine);
+}
+
 // ---------------------------------------------------------------------------
 // Elastic-membership storms (§11): kernels fail-stop, hot-join, and drain
 // mid-run while the load balancer is moving the very threads affected.
@@ -1115,6 +1159,11 @@ const std::vector<Scenario>& scenarios() {
          "while the holder's answer is in flight",
          /*content_deterministic=*/false, /*expect_violation=*/false,
          &run_fault_forward_kill},
+        {"munmap_mid_install",
+         "a munmap lands between remote installs' frame fills and their "
+         "maps; the revoke sweep must drop every copy mapped after it",
+         /*content_deterministic=*/false, /*expect_violation=*/false,
+         &run_munmap_mid_install},
     };
     return list;
 }

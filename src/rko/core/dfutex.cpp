@@ -433,6 +433,11 @@ bool DFutex::cancel_local(Pid pid, Tid tid, topo::KernelId origin) {
     return true;
 }
 
+bool DFutex::cancel_wait(const task::Task& t) {
+    return t.origin == k_.id() ? origin_cancel(t.pid, t.tid, t.last_futex_word)
+                               : cancel_local(t.pid, t.tid, t.origin);
+}
+
 void DFutex::send_deregister(topo::KernelId origin, Pid pid, mem::Vaddr uaddr,
                              std::uint64_t epoch) {
     if (origin == k_.id()) return; // convoys only form for remote origins
@@ -592,6 +597,7 @@ int DFutex::wait(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
 int DFutex::wake(task::Task& t, ProcessSite& site, mem::Vaddr uaddr,
                  std::uint32_t max_wake) {
     wakes_.inc();
+    t.last_futex_word = uaddr;
     trace::Span span(k_.engine(), k_.id(), "futex.wake", uaddr);
     if (site.is_origin()) {
         return static_cast<int>(origin_wake(site, t.pid, uaddr, max_wake));

@@ -93,6 +93,11 @@ public:
     /// convoy tier, wildcard word. True if found (caller wakes the task);
     /// sends the origin deregister itself when the convoy drains.
     bool cancel_local(Pid pid, Tid tid, topo::KernelId origin);
+    /// Balancer-side: withdraws `t`'s wait on its last futex word from
+    /// whichever tier parks it here — the origin table when this kernel is
+    /// its origin, else the convoy (cancel_local). True if found (caller
+    /// wakes the task: a legal spurious wakeup).
+    bool cancel_wait(const task::Task& t);
     /// origin_wake for non-syscall callers (the reaper publishing a lost
     /// thread's CLEARTID word). Returns waiters woken.
     std::uint32_t wake_at_origin(ProcessSite& site, Pid pid, mem::Vaddr uaddr,

@@ -2,15 +2,16 @@
 // installs, the ranged sweeps and the page-push pipeline (DESIGN.md §1, §10,
 // §14, §15).
 //
-// LOCK AND CLAIM ORDER. Every path in this file obeys these five rules;
+// LOCK AND CLAIM ORDER. Every path in this file obeys these six rules;
 // the comments below point here instead of restating them.
 //
 //   1. A directory shard lock is never held across an await (an RPC, a
 //      sleep, a busy-bit wait). It guards one no-yield step on the entry
 //      map; protocol work runs under the entry's busy bit instead.
 //   2. mmap guard, then shard lock. A path that needs both takes the
-//      site's mmap lock first and the shard lock inside it, never the
-//      other way round.
+//      site's mmap lock (shared: rule 6 leaves no room for a shard lock's
+//      acquire charge under a write hold) first and the shard lock inside
+//      it, never the other way round.
 //   3. A fault transaction holds ONE busy bit and never waits for a
 //      second; its protocol work is RPCs to leaf handlers, which always
 //      complete.
@@ -20,6 +21,15 @@
 //   5. The ranged claim-all paths (revoke/downgrade/sequester_range,
 //      evict_holder) claim many busy bits before releasing any; they
 //      serialize among themselves on the site's vma_op_lock.
+//
+//   6. An mmap write hold (mem::MmapWriteGuard) is a no-yield window that
+//      covers only PTE edits and the TLB-generation bump. Frame
+//      allocation, page copy or zeroing, frame frees and the TLB
+//      shootdown are charged before the acquire or after the release, as
+//      Linux charges none of them under an exclusive mmap_lock; the busy
+//      bit and the cleared or read-only PTE keep the bytes stable
+//      meanwhile. Under RKO_CHECK the guard asserts that virtual time did
+//      not advance during the hold.
 //
 // So every busy-bit waiter waits on a holder that will release without
 // waiting itself (rules 3, 4) or on a claim-all path that holds the
@@ -47,19 +57,18 @@ namespace rko::core {
 
 namespace {
 
-struct ReadGuard {
-    explicit ReadGuard(sim::RwLock& l) : lock(l) { lock.lock_shared(); }
-    ~ReadGuard() { lock.unlock_shared(); }
-    sim::RwLock& lock;
-};
-struct WriteGuard {
-    explicit WriteGuard(sim::RwLock& l) : lock(l) { lock.lock(); }
-    ~WriteGuard() { lock.unlock(); }
-    sim::RwLock& lock;
-};
-
 std::uint32_t effective_prot(std::uint32_t vma_prot, bool writable) {
     return writable ? vma_prot : (vma_prot & ~mem::kProtWrite);
+}
+
+/// A fresh frame holding a copy of `bytes`. The allocation and the copy
+/// are charged here, so callers fill before an mmap write hold (rule 6).
+mem::Paddr copy_to_new_frame(kernel::Kernel& k, const std::byte* bytes) {
+    const mem::Paddr frame = k.frames().alloc();
+    RKO_ASSERT(frame != 0);
+    std::memcpy(k.phys().frame_ptr(frame), bytes, mem::kPageSize);
+    sim::current_actor().sleep_for(k.costs().page_copy);
+    return frame;
 }
 
 /// Removes `k` from the entry's holder set. Returns false when no holder
@@ -224,7 +233,7 @@ FaultStatus PageOwner::origin_transaction(ProcessSite& site, mem::Vaddr page,
         // acked kVmaUpdate broadcast, which also advances our vma_epoch).
         bool replica_miss = false;
         {
-            ReadGuard guard(site.space().mmap_lock());
+            mem::MmapReadGuard guard(site.space());
             const mem::Vma* vma = site.space().vmas().find(page);
             if (vma == nullptr && !site.is_origin()) {
                 // The replica may simply not have fetched this (lazily
@@ -627,9 +636,8 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
                                 mem::Vaddr page, std::uint32_t access,
                                 const PageFaultResp& resp) {
     const bool want_write = (access & mem::kProtWrite) != 0;
-    WriteGuard guard(site.space().mmap_lock());
-
     if (resp.upgrade) {
+        mem::MmapWriteGuard guard(site.space());
         // We already hold current bytes; WIDEN the PTE to what this access
         // needs. Never narrow here: another thread on this kernel may hold
         // a TLB entry with the wider rights, and narrowing without a
@@ -649,6 +657,10 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
         return true;
     }
 
+    // Allocate and fill the private frame before the guard: the page is
+    // still busy at its home, so nothing else installs it meanwhile, and
+    // a munmap landing here is swept after the confirm (the home's range
+    // revoke waits on the busy bit, then drops this copy).
     const mem::Paddr frame =
         resp.zero_fill ? k_.frames().alloc_page_zeroed() : k_.frames().alloc();
     if (frame == 0) return false; // OOM: surface as a failed fix => SEGV path
@@ -656,15 +668,19 @@ bool PageOwner::install_locally(ProcessSite& site, const mem::Vma& vma,
         std::memcpy(k_.phys().frame_ptr(frame), resp.data.data(), mem::kPageSize);
         sim::current_actor().sleep_for(k_.costs().page_copy);
     }
-    // Replace any stale mapping (should not exist; belt and braces). Clear
-    // and bump before the free can yield (see capture_pages).
-    if (const mem::Pte* old = site.space().page_table().find(page);
-        old != nullptr && old->present) {
-        const mem::Pte cleared = site.space().page_table().clear(page);
-        site.space().bump_tlb_generation();
-        k_.frames().free(cleared.paddr);
+    mem::Pte stale{};
+    {
+        mem::MmapWriteGuard guard(site.space());
+        // Replace any stale mapping (should not exist; belt and braces).
+        // Clear and bump in this window, free once the guard is gone.
+        if (const mem::Pte* old = site.space().page_table().find(page);
+            old != nullptr && old->present) {
+            stale = site.space().page_table().clear(page);
+            site.space().bump_tlb_generation();
+        }
+        site.space().page_table().map(page, frame, effective_prot(vma.prot, want_write));
     }
-    site.space().page_table().map(page, frame, effective_prot(vma.prot, want_write));
+    if (stale.present) k_.frames().free(stale.paddr);
     return true;
 }
 
@@ -792,7 +808,7 @@ std::byte* PageOwner::ensure_readable(ProcessSite& site, mem::Vaddr page) {
         }
         mem::Vma vma;
         {
-            ReadGuard guard(site.space().mmap_lock());
+            mem::MmapReadGuard guard(site.space());
             const mem::Vma* found = site.space().vmas().find(page);
             if (found == nullptr || (found->prot & mem::kProtRead) == 0) return nullptr;
             vma = *found;
@@ -1117,33 +1133,31 @@ std::uint32_t PageOwner::sequester_range(ProcessSite& site, mem::Vaddr start,
     scatter_pulls(k_.node(), site.pid(), std::move(posts), drop_by_holder, pages, post_page,
                   range_rpcs_);
 
-    // Phase 3: batched local application. All PROT_NONE protects share one
-    // generation bump and one modeled shootdown; the fetched pages land in
-    // fresh origin frames mapped inaccessible (their copies may yield — the
-    // protect+bump no-yield window above is already closed by then).
-    {
-        WriteGuard guard(site.space().mmap_lock());
-        std::uint32_t protected_pages = 0;
-        for (const SeqPage& p : pages) {
-            if (!p.origin_holds) continue;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
-            site.space().page_table().protect(page, mem::kProtNone);
-            ++protected_pages;
-        }
-        if (protected_pages != 0) site.space().bump_tlb_generation();
-        for (const SeqPage& p : pages) {
-            if (p.origin_holds || !p.have_data) continue;
-            const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
-            const mem::Paddr frame = k_.frames().alloc();
-            RKO_ASSERT(frame != 0);
-            std::memcpy(k_.phys().frame_ptr(frame), p.data.data(), mem::kPageSize);
-            sim::current_actor().sleep_for(k_.costs().page_copy);
-            site.space().page_table().map(page, frame, mem::kProtNone);
-        }
-        if (protected_pages != 0) {
-            sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
+    // Phase 3: batched local application. The fetched pages are filled
+    // into fresh origin frames first; then one mmap write hold protects
+    // every origin-held page PROT_NONE under one generation bump and maps
+    // the filled frames inaccessible. The one modeled shootdown follows.
+    std::vector<mem::Paddr> filled(pages.size(), 0);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        if (!pages[i].origin_holds && pages[i].have_data) {
+            filled[i] = copy_to_new_frame(k_, pages[i].data.data());
         }
     }
+    std::uint32_t protected_pages = 0;
+    {
+        mem::MmapWriteGuard guard(site.space());
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            const mem::Vaddr page = static_cast<mem::Vaddr>(pages[i].vpn) << mem::kPageShift;
+            if (pages[i].origin_holds) {
+                site.space().page_table().protect(page, mem::kProtNone);
+                ++protected_pages;
+            } else if (filled[i] != 0) {
+                site.space().page_table().map(page, filled[i], mem::kProtNone);
+            }
+        }
+        if (protected_pages != 0) site.space().bump_tlb_generation();
+    }
+    if (protected_pages != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
 
     // Phase 4: directory entries collapse to Exclusive-at-origin (or die if
     // every holder had vanished — only possible transiently).
@@ -1228,7 +1242,7 @@ void PageOwner::on_home_range_op(msg::Node& node, msg::MessagePtr m) {
         // this guards the LOCAL slice against a concurrent local sweep
         // (drain eviction). Lock order is strictly origin -> home, so the
         // two-level hold cannot cycle.
-        WriteGuard op_guard(site.vma_op_lock());
+        sim::LockGuard op_guard(site.vma_op_lock());
         switch (req.kind) {
         case HomeRangeKind::kRevoke:
             resp.touched = revoke_range(site, req.start, req.end);
@@ -1442,7 +1456,7 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
     // installs entries naming the holder right after.
     await_home_rebuilds(site);
     // A claim-all path like the destructive ranged ops (rule 5).
-    WriteGuard op_guard(site.vma_op_lock());
+    sim::LockGuard op_guard(site.vma_op_lock());
 
     struct EvictPage {
         ProcessSite::DirShard* shard;
@@ -1506,30 +1520,37 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
     }
 
     // Phase 3: land the pulled-home bytes in fresh origin frames with the
-    // master VMA's protection (fresh maps need no shootdown).
+    // master VMA's protection (fresh maps need no shootdown). The frames
+    // are filled first; the write hold only maps them, and the frames it
+    // did not map (munmap raced) or replaced are freed after it.
+    std::vector<mem::Paddr> filled(pages.size(), 0);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        if (pages[i].sole && pages[i].have_data) {
+            filled[i] = copy_to_new_frame(k_, pages[i].data.data());
+        }
+    }
+    std::vector<mem::Paddr> unused;
     {
-        WriteGuard guard(site.space().mmap_lock());
-        for (EvictPage& p : pages) {
-            if (!p.sole || !p.have_data) continue;
+        mem::MmapWriteGuard guard(site.space());
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            if (filled[i] == 0) continue;
+            EvictPage& p = pages[i];
             const mem::Vaddr page = static_cast<mem::Vaddr>(p.vpn) << mem::kPageShift;
             const mem::Vma* vma = site.space().vmas().find(page);
             if (vma == nullptr) {
                 p.have_data = false; // raced with munmap: the data is dead
+                unused.push_back(filled[i]);
                 continue;
             }
-            const mem::Paddr frame = k_.frames().alloc();
-            RKO_ASSERT(frame != 0);
-            std::memcpy(k_.phys().frame_ptr(frame), p.data.data(), mem::kPageSize);
-            sim::current_actor().sleep_for(k_.costs().page_copy);
             if (const mem::Pte* old = site.space().page_table().find(page);
                 old != nullptr && old->present) {
-                const mem::Pte cleared = site.space().page_table().clear(page);
+                unused.push_back(site.space().page_table().clear(page).paddr);
                 site.space().bump_tlb_generation();
-                k_.frames().free(cleared.paddr);
             }
-            site.space().page_table().map(page, frame, vma->prot);
+            site.space().page_table().map(page, filled[i], vma->prot);
         }
     }
+    for (const mem::Paddr frame : unused) k_.frames().free(frame);
 
     // Phase 4: commit the directory updates and release the claims.
     std::uint32_t stripped = 0;
@@ -1565,20 +1586,23 @@ std::uint32_t PageOwner::evict_holder(ProcessSite& site, topo::KernelId holder) 
 std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
                                           const std::vector<std::uint64_t>& vpns) {
     if (vpns.empty()) return 0;
-    WriteGuard guard(site.space().mmap_lock());
     // INVARIANT (see capture_pages): every PTE clear and the generation
-    // bump must share a no-yield window — so clear them ALL, bump once,
-    // and only then free the frames and pay the one modeled shootdown.
+    // bump share the write hold's no-yield window — so clear them ALL,
+    // bump once, and only after the release free the frames and pay the
+    // one modeled shootdown.
     std::vector<mem::Paddr> frames;
     frames.reserve(vpns.size());
-    for (const std::uint64_t vpn : vpns) {
-        const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-        const mem::Pte* pte = site.space().page_table().find(page);
-        if (pte == nullptr || !pte->present) continue;
-        frames.push_back(site.space().page_table().clear(page).paddr);
+    {
+        mem::MmapWriteGuard guard(site.space());
+        for (const std::uint64_t vpn : vpns) {
+            const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
+            const mem::Pte* pte = site.space().page_table().find(page);
+            if (pte == nullptr || !pte->present) continue;
+            frames.push_back(site.space().page_table().clear(page).paddr);
+        }
+        if (frames.empty()) return 0;
+        site.space().bump_tlb_generation();
     }
-    if (frames.empty()) return 0;
-    site.space().bump_tlb_generation();
     for (const mem::Paddr frame : frames) k_.frames().free(frame);
     sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
     return static_cast<std::uint32_t>(frames.size());
@@ -1587,21 +1611,21 @@ std::uint32_t PageOwner::local_drop_range(ProcessSite& site,
 std::uint32_t PageOwner::local_downgrade_range(
     ProcessSite& site, const std::vector<std::uint64_t>& vpns) {
     if (vpns.empty()) return 0;
-    WriteGuard guard(site.space().mmap_lock());
     std::uint32_t touched = 0;
-    for (const std::uint64_t vpn : vpns) {
-        const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
-        const mem::Pte* pte = site.space().page_table().find(page);
-        if (pte == nullptr || !pte->present || (pte->prot & mem::kProtWrite) == 0) {
-            continue;
+    {
+        mem::MmapWriteGuard guard(site.space());
+        for (const std::uint64_t vpn : vpns) {
+            const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
+            const mem::Pte* pte = site.space().page_table().find(page);
+            if (pte == nullptr || !pte->present || (pte->prot & mem::kProtWrite) == 0) {
+                continue;
+            }
+            site.space().page_table().protect(page, pte->prot & ~mem::kProtWrite);
+            ++touched;
         }
-        site.space().page_table().protect(page, pte->prot & ~mem::kProtWrite);
-        ++touched;
+        if (touched != 0) site.space().bump_tlb_generation();
     }
-    if (touched != 0) {
-        site.space().bump_tlb_generation();
-        sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-    }
+    if (touched != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
     return touched;
 }
 
@@ -1618,7 +1642,7 @@ std::vector<mem::Vaddr> PageOwner::claim_pages(ProcessSite& site,
     // replica, which may be stale.
     std::vector<mem::Vaddr> candidates;
     {
-        ReadGuard guard(site.space().mmap_lock());
+        mem::MmapReadGuard guard(site.space());
         for (const std::uint64_t vpn : vpns) {
             const mem::Vaddr page = static_cast<mem::Vaddr>(vpn) << mem::kPageShift;
             const mem::Vma* vma = site.space().vmas().find(page);
@@ -1660,36 +1684,41 @@ void PageOwner::capture_pages(ProcessSite& site, std::span<Capture> batch) {
     // the same no-yield window — any sleep in between (a data copy, a
     // frame free's allocator time) would let a local task's soft-TLB serve
     // a stale writable pointer into a frame being revoked. The bytes are
-    // copied AFTER the bump, so no local store can race past the copy.
-    WriteGuard guard(site.space().mmap_lock());
+    // copied AFTER the bump, so no local store can race past the copy, and
+    // before the release; the copy and shootdown charges come after it
+    // (MmapWriteGuard), when the busy bit and the now read-only or cleared
+    // PTE keep the captured bytes what they were.
     std::uint32_t changed = 0;
-    for (Capture& c : batch) {
-        const mem::Pte* pte = site.space().page_table().find(c.page);
-        if (pte == nullptr || !pte->present) {
-            // Our copy is gone despite the directory: munmap's replica
-            // broadcast precedes the directory sweep and is not gated on
-            // the busy bit. The sweep erases the entry later.
-            continue;
-        }
-        c.captured = true;
-        if (c.mode == SurrenderMode::kOwnership || c.mode == SurrenderMode::kDrop) {
-            c.revoked = site.space().page_table().clear(c.page);
-            ++changed;
-        } else if (c.mode == SurrenderMode::kDowngrade &&
-                   (pte->prot & mem::kProtWrite) != 0) {
-            site.space().page_table().protect(c.page, pte->prot & ~mem::kProtWrite);
-            ++changed;
-        }
-    }
-    if (changed != 0) site.space().bump_tlb_generation();
     Nanos copy_cost = 0;
-    for (Capture& c : batch) {
-        if (!c.captured || c.mode == SurrenderMode::kDrop) continue;
-        const mem::Paddr frame = c.mode == SurrenderMode::kOwnership
-                                     ? c.revoked.paddr
-                                     : site.space().page_table().find(c.page)->paddr;
-        std::memcpy(c.out, k_.phys().frame_ptr(frame), mem::kPageSize);
-        copy_cost += k_.costs().page_copy;
+    {
+        mem::MmapWriteGuard guard(site.space());
+        for (Capture& c : batch) {
+            const mem::Pte* pte = site.space().page_table().find(c.page);
+            if (pte == nullptr || !pte->present) {
+                // Our copy is gone despite the directory: munmap's replica
+                // broadcast precedes the directory sweep and is not gated
+                // on the busy bit. The sweep erases the entry later.
+                continue;
+            }
+            c.captured = true;
+            if (c.mode == SurrenderMode::kOwnership || c.mode == SurrenderMode::kDrop) {
+                c.revoked = site.space().page_table().clear(c.page);
+                ++changed;
+            } else if (c.mode == SurrenderMode::kDowngrade &&
+                       (pte->prot & mem::kProtWrite) != 0) {
+                site.space().page_table().protect(c.page, pte->prot & ~mem::kProtWrite);
+                ++changed;
+            }
+        }
+        if (changed != 0) site.space().bump_tlb_generation();
+        for (Capture& c : batch) {
+            if (!c.captured || c.mode == SurrenderMode::kDrop) continue;
+            const mem::Paddr frame = c.mode == SurrenderMode::kOwnership
+                                         ? c.revoked.paddr
+                                         : site.space().page_table().find(c.page)->paddr;
+            std::memcpy(c.out, k_.phys().frame_ptr(frame), mem::kPageSize);
+            copy_cost += k_.costs().page_copy;
+        }
     }
     if (copy_cost != 0) sim::current_actor().sleep_for(copy_cost);
     if (changed != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
@@ -1758,17 +1787,21 @@ std::uint32_t PageOwner::ship_pages(ProcessSite& site, std::span<Capture> batch,
     // revoked PTE comes back over its own (never freed) frame — widening a
     // mapping needs no shootdown. A downgraded copy stays read-only, which
     // its Exclusive entry tolerates (a later write upgrades in place).
-    WriteGuard guard(site.space().mmap_lock());
-    for (const Capture* c : kept) {
-        const mem::Pte* pte = site.space().page_table().find(c->page);
-        if (site.space().vmas().find(c->page) == nullptr ||
-            (pte != nullptr && pte->present)) {
-            // A munmap swept the range meanwhile: the data is dead.
-            k_.frames().free(c->revoked.paddr);
-            continue;
+    std::vector<mem::Paddr> dead;
+    {
+        mem::MmapWriteGuard guard(site.space());
+        for (const Capture* c : kept) {
+            const mem::Pte* pte = site.space().page_table().find(c->page);
+            if (site.space().vmas().find(c->page) == nullptr ||
+                (pte != nullptr && pte->present)) {
+                // A munmap swept the range meanwhile: the data is dead.
+                dead.push_back(c->revoked.paddr);
+                continue;
+            }
+            site.space().page_table().map(c->page, c->revoked.paddr, c->revoked.prot);
         }
-        site.space().page_table().map(c->page, c->revoked.paddr, c->revoked.prot);
     }
+    for (const mem::Paddr frame : dead) k_.frames().free(frame);
     return shipped;
 }
 
@@ -1813,7 +1846,7 @@ std::uint32_t PageOwner::push_pages(ProcessSite& site,
     // confirm can overtake the owner's reply to us.
     std::vector<std::uint32_t> vma_prot(pages.size());
     {
-        ReadGuard guard(site.space().mmap_lock());
+        mem::MmapReadGuard guard(site.space());
         for (std::size_t i = 0; i < pages.size(); ++i) {
             const mem::Vma* vma = site.space().vmas().find(pages[i]);
             vma_prot[i] = vma == nullptr ? 0 : vma->prot;
@@ -2171,7 +2204,7 @@ void PageOwner::on_page_push(msg::Node& node, msg::MessagePtr m) {
         mem::Vma vma;
         bool found = false;
         {
-            ReadGuard guard(site.space().mmap_lock());
+            mem::MmapReadGuard guard(site.space());
             const mem::Vma* v = site.space().vmas().find(push.va);
             if (v != nullptr && (v->prot & mem::kProtRead) != 0) {
                 vma = *v;

@@ -258,7 +258,7 @@ private:
 
     // The page-push pipeline (home side) — fault-around windows, working-set
     // pulls and boosted batches all run these two steps. claim_pages
-    // validates each VPN against this home's VMA tree under one ReadGuard
+    // validates each VPN against this home's VMA tree under one MmapReadGuard
     // and try-claims the busy bits of the pages it may push (skipping
     // absent, busy, requester-held and not-homed-here entries). push_pages
     // then moves every claimed page to the requester: the pages this home
@@ -289,9 +289,11 @@ private:
         mem::Pte revoked{};    ///< kOwnership / kDrop: the cleared PTE (frame not freed)
     };
     /// Captures this kernel's copies of a batch of pages under ONE mmap
-    /// write guard: ownership and drop revoke the PTE, downgrade strips
-    /// write, replica leaves it; one generation bump, one accumulated copy
-    /// charge (kDrop copies nothing), one modeled shootdown.
+    /// write hold: ownership and drop revoke the PTE, downgrade strips
+    /// write, replica leaves it; one generation bump, then the bytes are
+    /// copied out. The accumulated copy charge (kDrop copies nothing) and
+    /// the one modeled shootdown come after the release (rule 6 in
+    /// page_owner.cpp).
     void capture_pages(ProcessSite& site, std::span<Capture> batch);
     /// Captures `batch` (capture_pages) and pushes each captured page to
     /// `requester` as kWorksetPush (`workset`) or kPagePush, its confirm

@@ -12,18 +12,6 @@ namespace {
 constexpr int kEinval = 22;
 constexpr int kEnomem = 12;
 
-/// RAII shared/exclusive guards over the simulated RwLock.
-struct ReadGuard {
-    explicit ReadGuard(sim::RwLock& l) : lock(l) { lock.lock_shared(); }
-    ~ReadGuard() { lock.unlock_shared(); }
-    sim::RwLock& lock;
-};
-struct WriteGuard {
-    explicit WriteGuard(sim::RwLock& l) : lock(l) { lock.lock(); }
-    ~WriteGuard() { lock.unlock(); }
-    sim::RwLock& lock;
-};
-
 } // namespace
 
 VmaServer::VmaServer(kernel::Kernel& k)
@@ -124,8 +112,8 @@ mem::Vaddr VmaServer::origin_brk(ProcessSite& site, mem::Vaddr new_brk) {
         // Shared hold on the vma_op_lock: a concurrent destructive op
         // (munmap/mprotect) must not observe the new tail appearing inside
         // the range it is revoking.
-        ReadGuard op_guard(site.vma_op_lock());
-        WriteGuard guard(site.space().mmap_lock());
+        sim::SharedLockGuard op_guard(site.vma_op_lock());
+        mem::MmapWriteGuard guard(site.space());
         // Growing: map the new tail read-write. Failure (overlap with an
         // mmap'd region) leaves the break unchanged, like Linux.
         if (!site.space().vmas().insert(
@@ -152,8 +140,8 @@ std::int64_t VmaServer::origin_mmap(ProcessSite& site, std::uint64_t length,
     // shared vma_op_lock hold keeps find_gap from reusing a range that a
     // concurrent destructive op is still revoking — faults on the new
     // mapping would otherwise race the revoke's directory sweep.
-    ReadGuard op_guard(site.vma_op_lock());
-    WriteGuard guard(site.space().mmap_lock());
+    sim::SharedLockGuard op_guard(site.vma_op_lock());
+    mem::MmapWriteGuard guard(site.space());
     const mem::Vaddr addr =
         site.space().vmas().find_gap(length, mem::kMmapBase, mem::kMmapTop);
     if (addr == 0) return -kEnomem;
@@ -172,7 +160,7 @@ std::int64_t VmaServer::origin_destructive(ProcessSite& site, VmaOp op,
     site.vma_op_lock().lock();
 
     {
-        WriteGuard guard(site.space().mmap_lock());
+        mem::MmapWriteGuard guard(site.space());
         if (op == VmaOp::kMunmap) {
             site.space().vmas().erase_range(addr, end);
         } else {
@@ -241,7 +229,7 @@ void VmaServer::broadcast_update(ProcessSite& site, VmaOp op, mem::Vaddr start,
 
 bool VmaServer::ensure_vma(ProcessSite& site, mem::Vaddr va, mem::Vma* out) {
     {
-        ReadGuard guard(site.space().mmap_lock());
+        mem::MmapReadGuard guard(site.space());
         if (const mem::Vma* vma = site.space().vmas().find(va)) {
             if (!site.is_origin()) replica_hit_.inc();
             *out = *vma;
@@ -259,7 +247,7 @@ bool VmaServer::ensure_vma(ProcessSite& site, mem::Vaddr va, mem::Vma* out) {
     const auto& resp = reply->payload_as<VmaFetchResp>();
     if (!resp.found) return false;
 
-    WriteGuard guard(site.space().mmap_lock());
+    mem::MmapWriteGuard guard(site.space());
     // A concurrent fault may have inserted it (or a racing munmap update
     // removed neighbours); insert failure just means someone beat us.
     if (site.space().vmas().find(va) == nullptr) {
@@ -302,7 +290,7 @@ void VmaServer::on_vma_fetch(msg::Node& node, msg::MessagePtr m) {
     VmaFetchResp resp{false, {}};
     if (k_.has_site(req.pid)) {
         ProcessSite& site = k_.site(req.pid);
-        ReadGuard guard(site.space().mmap_lock());
+        mem::MmapReadGuard guard(site.space());
         if (const mem::Vma* vma = site.space().vmas().find(req.addr)) {
             resp.found = true;
             resp.vma = *vma;
@@ -315,9 +303,10 @@ void VmaServer::on_vma_fetch(msg::Node& node, msg::MessagePtr m) {
 void VmaServer::on_vma_update(msg::Node& node, msg::MessagePtr m) {
     const auto& req = m->payload_as<VmaUpdateReq>();
     VmaUpdateResp resp{0};
+    std::vector<mem::Paddr> freed;
     if (k_.has_site(req.pid)) {
         ProcessSite& site = k_.site(req.pid);
-        WriteGuard guard(site.space().mmap_lock());
+        mem::MmapWriteGuard guard(site.space());
         // Advance the replica epoch BEFORE (atomically with, under the mmap
         // lock) the tree change: a sharded home's in-flight transaction
         // that validated against the old tree re-reads this under its shard
@@ -337,24 +326,20 @@ void VmaServer::on_vma_update(msg::Node& node, msg::MessagePtr m) {
             site.space().page_table().for_each_present(
                 req.start, req.end,
                 [&](mem::Vaddr va, mem::Pte&) { stale.push_back(va); });
-            // Clear + bump first (no yields), then pay for the frees and
-            // the shootdown: a sleep between a clear and the bump would
-            // expose stale soft-TLB entries (see PageOwner::capture_pages).
-            std::vector<mem::Paddr> freed;
+            // Clear + bump in this no-yield window; the frees and the
+            // shootdown are paid once the guard is gone (MmapWriteGuard).
             for (const mem::Vaddr va : stale) {
                 const mem::Pte old = site.space().page_table().clear(va);
                 if (old.present) freed.push_back(old.paddr);
                 ++resp.cleared_pages;
             }
             if (!stale.empty()) site.space().bump_tlb_generation();
-            for (const mem::Paddr paddr : freed) k_.frames().free(paddr);
-            if (!stale.empty()) {
-                sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
-            }
         } else {
             site.space().vmas().protect_range(req.start, req.end, req.prot);
         }
     }
+    for (const mem::Paddr paddr : freed) k_.frames().free(paddr);
+    if (resp.cleared_pages != 0) sim::current_actor().sleep_for(k_.costs().tlb_shootdown);
     node.reply(*m,
                msg::make_message(msg::MsgType::kVmaUpdate, msg::MsgKind::kReply, resp));
 }

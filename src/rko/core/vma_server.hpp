@@ -8,7 +8,10 @@
 //
 // Locking: the whole operation serializes on the site's vma_op_lock (held
 // across the broadcast); tree mutation additionally takes the local
-// mmap_lock exclusively, and never across an await.
+// mmap_lock exclusively, in a no-yield window (mem::MmapWriteGuard): a
+// replica's munmap update clears its PTEs and bumps the TLB generation
+// under the hold, and frees the frames and charges the shootdown after
+// the release.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "rko/base/assert.hpp"
+#include "rko/check/gate.hpp"
 #include "rko/mem/pagetable.hpp"
 #include "rko/mem/types.hpp"
 #include "rko/mem/vma.hpp"
@@ -31,7 +33,7 @@ public:
     bool is_origin() const { return kernel_ == origin_; }
 
     /// Serializes VMA-tree and page-table structure changes (Linux
-    /// mmap_sem). Page-level permission flips take it shared.
+    /// mmap_sem). Hold it through MmapReadGuard / MmapWriteGuard below.
     sim::RwLock& mmap_lock() { return mmap_lock_; }
     const sim::RwLock& mmap_lock() const { return mmap_lock_; }
 
@@ -59,6 +61,50 @@ private:
     PageTable page_table_;
     std::uint64_t tlb_generation_ = 0;
     Vaddr brk_;
+};
+
+/// Shared hold of a space's mmap lock: VMA lookups and fault validation
+/// (Linux faults hold mmap_lock for read).
+class [[nodiscard]] MmapReadGuard {
+public:
+    explicit MmapReadGuard(AddressSpace& space) : lock_(space.mmap_lock()) {
+        lock_.lock_shared();
+    }
+    ~MmapReadGuard() { lock_.unlock_shared(); }
+    MmapReadGuard(const MmapReadGuard&) = delete;
+    MmapReadGuard& operator=(const MmapReadGuard&) = delete;
+
+private:
+    sim::RwLock& lock_;
+};
+
+/// Exclusive hold of a space's mmap lock: a no-yield window that covers
+/// only VMA-tree and PTE edits and the TLB-generation bump. Every modeled
+/// cost — frame allocation, page copy or zeroing, frame frees, the TLB
+/// shootdown — is charged before the acquire or after the release, so no
+/// fault on the kernel queues behind it (Linux edits PTEs under the
+/// page-table lock, not under an exclusive mmap_lock). Under
+/// check::enabled() the release asserts that virtual time did not advance
+/// since the acquire returned.
+class [[nodiscard]] MmapWriteGuard {
+public:
+    explicit MmapWriteGuard(AddressSpace& space) : lock_(space.mmap_lock()) {
+        lock_.lock();
+        acquired_at_ = sim::current_actor().now();
+    }
+    ~MmapWriteGuard() {
+        if (check::enabled()) {
+            RKO_ASSERT_MSG(sim::current_actor().now() == acquired_at_,
+                           "modeled cost charged under the mmap write lock");
+        }
+        lock_.unlock();
+    }
+    MmapWriteGuard(const MmapWriteGuard&) = delete;
+    MmapWriteGuard& operator=(const MmapWriteGuard&) = delete;
+
+private:
+    sim::RwLock& lock_;
+    Nanos acquired_at_ = 0;
 };
 
 } // namespace rko::mem

@@ -130,7 +130,11 @@ MessagePtr Node::rpc(KernelId dst, MessagePtr request, RpcStatus* status) {
     ticket_dst_.emplace(request->hdr.ticket, dst);
 
     send(dst, std::move(request));
-    while (slot.outstanding > 0) self.park();
+    while (slot.outstanding > 0) {
+        slot.parked = true;
+        self.park();
+        slot.parked = false;
+    }
     return finish_rpc(slot, status);
 }
 
@@ -163,7 +167,9 @@ MessagePtr Node::rpc_timed(KernelId dst, MessagePtr request, Nanos timeout,
     while (slot.outstanding > 0) {
         const Nanos remaining = deadline - engine_.now();
         if (remaining <= 0) break;
+        slot.parked = true;
         self.park_for(remaining);
+        slot.parked = false;
     }
     if (slot.outstanding > 0 && !dead_) {
         // Timed out: withdraw the ticket and tombstone it so the late reply
@@ -229,7 +235,11 @@ std::vector<MessagePtr> Node::rpc_scatter(std::vector<ScatterItem> items) {
         send(items[i].dst, std::move(request));
     }
     const Nanos wait_start = engine_.now();
-    while (slot.outstanding > 0) self.park();
+    while (slot.outstanding > 0) {
+        slot.parked = true;
+        self.park();
+        slot.parked = false;
+    }
     if (dead_) throw LocalNodeDead{};
     scatter_wait_.add(engine_.now() - wait_start);
     return replies;
@@ -269,7 +279,7 @@ void Node::complete_reply(MessagePtr message) {
     } else {
         slot->reply = std::move(message);
     }
-    if (--slot->outstanding == 0) slot->waiter->unpark();
+    settle(*slot);
 }
 
 void Node::fail_ticket(std::uint64_t ticket, RpcStatus status) {
@@ -282,7 +292,11 @@ void Node::fail_ticket(std::uint64_t ticket, RpcStatus status) {
     cancelled_.insert(ticket);   // drop the reply if it was already in flight
     slot->status = status;
     ++rpc_failures_;
-    if (--slot->outstanding == 0) slot->waiter->unpark();
+    settle(*slot);
+}
+
+void Node::settle(PendingReply& slot) {
+    if (--slot.outstanding == 0 && slot.parked) slot.waiter->unpark();
 }
 
 void Node::fail_pending(KernelId dead) {

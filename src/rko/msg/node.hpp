@@ -194,6 +194,11 @@ private:
         std::vector<MessagePtr>* sink = nullptr;
         std::size_t sink_index = 0;
         RpcStatus status = RpcStatus::kOk; ///< sticky: any failed ticket
+        /// The waiter is parked in its reply wait. The last ticket wakes it
+        /// only then: a ticket failed while the waiter is still posting
+        /// (its send yields) must not leave it a permit, which a later,
+        /// unrelated park would consume as a wake-up it never got.
+        bool parked = false;
     };
 
     struct Pool {
@@ -213,6 +218,9 @@ private:
     void fail_ticket(std::uint64_t ticket, RpcStatus status);
     /// Post-park failure handling shared by rpc/rpc_timed.
     MessagePtr finish_rpc(PendingReply& slot, RpcStatus* status);
+    /// One ticket of `slot` answered or failed: wakes a parked waiter once
+    /// none is outstanding.
+    static void settle(PendingReply& slot);
     /// Lands the flow arrow carried by `message` on this kernel's track.
     void note_flow_end(const Message& message, const char* name);
     bool is_leaf_worker(const sim::Actor* actor) const;

@@ -107,6 +107,19 @@ private:
     Lock& lock_;
 };
 
+/// The shared-side counterpart of LockGuard (RwLock::lock_shared).
+template <typename Lock>
+class [[nodiscard]] SharedLockGuard {
+public:
+    explicit SharedLockGuard(Lock& lock) : lock_(lock) { lock_.lock_shared(); }
+    ~SharedLockGuard() { lock_.unlock_shared(); }
+    SharedLockGuard(const SharedLockGuard&) = delete;
+    SharedLockGuard& operator=(const SharedLockGuard&) = delete;
+
+private:
+    Lock& lock_;
+};
+
 /// A bare list of parked actors; the building block for condition-variable
 /// and wait-queue patterns. Thanks to actor permits, the
 /// enqueue-publish-park pattern has no lost-wakeup window.

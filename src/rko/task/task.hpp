@@ -152,9 +152,11 @@ struct Task {
     }
 
     // --- hierarchical futex owner affinity (core/dfutex, DESIGN.md §13) ---
-    /// The word this task last slept on (0 = never). The balancer matches
-    /// it against the gossiped hot-word census to steer contenders toward
-    /// the grant-holder kernel.
+    /// The word this task last slept on or woke (0 = never). The balancer
+    /// matches it against the gossiped hot-word census to steer contenders
+    /// toward the grant-holder kernel. Wakes count: a contender that keeps
+    /// winning the lock word on its own kernel never sleeps, yet every
+    /// unlock it does with waiters parked is a futex wake on that word.
     mem::Vaddr last_futex_word = 0;
 
     bool on_core() const { return core >= 0; }

@@ -8,6 +8,7 @@
 
 #include "rko/msg/fabric.hpp"
 #include "rko/sim/actor.hpp"
+#include "rko/sim/sync.hpp"
 
 namespace rko::msg {
 namespace {
@@ -578,6 +579,39 @@ TEST(NodeElastic, FailPendingUnparksInFlightRpc) {
     EXPECT_TRUE(returned);
     EXPECT_EQ(status, RpcStatus::kPeerDead);
     EXPECT_EQ(h.fabric->node(0).pending_replies(), 0u);
+    h.finish();
+}
+
+TEST(NodeElastic, PeerDeathMidSendLeavesNoStrayWakeup) {
+    // The peer is declared dead while the caller's send is still paying
+    // its publish cost: the rpc fails without ever parking, and the
+    // failure must not bank a wake-up that the caller's next, unrelated
+    // park would consume.
+    Harness h(2);
+    h.fabric->node(1).register_handler(MsgType::kPing, HandlerClass::kInline,
+                                       [](Node&, MessagePtr) { /* no reply */ });
+    h.start();
+    RpcStatus status = RpcStatus::kOk;
+    sim::WaitList later;
+    Nanos woke_at = -1;
+    Actor app(h.engine, "app", [&](Actor& self) {
+        MessagePtr reply = h.fabric->node(0).rpc(
+            1, make_message(MsgType::kPing, MsgKind::kRequest, PingPayload{1}),
+            &status);
+        EXPECT_EQ(reply, nullptr);
+        later.wait(h.engine);
+        woke_at = self.now();
+    });
+    app.start();
+    ASSERT_GT(h.costs.msg_enqueue, 100);
+    Actor reaper(h.engine, "reaper",
+                 [&](Actor&) { h.fabric->node(0).set_peer_dead(1); });
+    reaper.start(100);
+    Actor notifier(h.engine, "notifier", [&](Actor&) { later.notify_one(); });
+    notifier.start(5_us);
+    h.engine.run_until(1_ms);
+    EXPECT_EQ(status, RpcStatus::kPeerDead);
+    EXPECT_EQ(woke_at, 5_us) << "a stray wake-up let the wait return early";
     h.finish();
 }
 
